@@ -469,10 +469,6 @@ fn nn_resident_amortization() -> BenchEntry {
          (load amortizes to {:.1} pulses/query)",
         usage.amortized_load_pulses_per_query()
     );
-    println!(
-        "=> confirms ROADMAP item 1: program-and-verify dominates the cold NN path; \
-         the resident path leaves only the scalar per-MVM noise loop"
-    );
 
     let (p50_ms, p95_ms, p99_ms) = latency_percentiles_ms(&warm_reports);
     BenchEntry::new(

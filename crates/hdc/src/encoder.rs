@@ -17,6 +17,9 @@ use crate::item_memory::{ContinuousItemMemory, ItemMemory};
 pub struct NgramEncoder {
     item_memory: ItemMemory,
     n: usize,
+    /// `permuted[s][k]` = ρ^k(item[s]) for every symbol `s` and `k < n`,
+    /// drawn once so an n-gram is n−1 XORs and no rotations.
+    permuted: Vec<Vec<Hypervector>>,
 }
 
 impl NgramEncoder {
@@ -27,7 +30,17 @@ impl NgramEncoder {
     /// Panics if `n == 0`.
     pub fn new(item_memory: ItemMemory, n: usize) -> Self {
         assert!(n > 0, "n-gram size must be nonzero");
-        NgramEncoder { item_memory, n }
+        let permuted = (0..item_memory.len())
+            .map(|s| {
+                let item = item_memory.get(s);
+                (0..n).map(|k| item.permute(k)).collect()
+            })
+            .collect();
+        NgramEncoder {
+            item_memory,
+            n,
+            permuted,
+        }
     }
 
     /// The item memory in use.
@@ -52,10 +65,10 @@ impl NgramEncoder {
     /// Panics if `window.len() != n` or a symbol is out of range.
     pub fn encode_ngram(&self, window: &[usize]) -> Hypervector {
         assert_eq!(window.len(), self.n, "window must hold exactly n symbols");
-        let mut acc = Hypervector::zeros(self.dim());
-        for (i, &symbol) in window.iter().enumerate() {
-            let rotated = self.item_memory.get(symbol).permute(self.n - 1 - i);
-            acc = acc.bind(&rotated);
+        let last = self.n - 1;
+        let mut acc = self.permuted[window[0]][last].clone();
+        for (i, &symbol) in window.iter().enumerate().skip(1) {
+            acc.bind_assign(&self.permuted[symbol][last - i]);
         }
         acc
     }
@@ -79,8 +92,14 @@ impl NgramEncoder {
         bundler.finalize()
     }
 
-    /// Number of MAP operations one sequence encoding performs —
-    /// the workload figure the cost model consumes.
+    /// Number of MAP operations one sequence encoding performs on the
+    /// CIM model — the workload figure the cost model consumes.
+    ///
+    /// This counts the algorithm's n permutations per n-gram as the
+    /// in-memory architecture executes them. It deliberately does *not*
+    /// track the host encoder's work, which reads the permutations from a
+    /// precomputed ρ^k cache; the two are different machines, so do not
+    /// change this count to match the cache.
     pub fn map_ops_for(&self, sequence_len: usize) -> usize {
         let ngrams = sequence_len.saturating_sub(self.n - 1);
         // Per n-gram: n permutations + n−1 XORs; plus one bundling add

@@ -13,7 +13,7 @@
 //! All operations return vectors of the same dimension — hypervectors
 //! are fixed-width, which is what makes them memory-friendly.
 
-use cim_simkit::bitvec::BitVec;
+use cim_simkit::bitvec::{BitCounter, BitVec};
 use rand::Rng;
 
 /// A d-dimensional binary hypervector.
@@ -74,6 +74,15 @@ impl Hypervector {
         }
     }
 
+    /// In-place MAP multiplication: `self ⊗= other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
+    pub fn bind_assign(&mut self, other: &Self) {
+        self.bits.xor_assign(&other.bits);
+    }
+
     /// MAP permutation ρ^k: cyclic rotation by `k` positions.
     pub fn permute(&self, k: usize) -> Self {
         Hypervector {
@@ -125,11 +134,12 @@ impl Hypervector {
 
 /// Incremental majority bundling with deterministic pseudo-random tie
 /// breaking — the practical form of MAP addition for large, possibly
-/// even, bundle sizes.
+/// even, bundle sizes. Per-component counts live in bit-sliced
+/// carry-save planes ([`BitCounter`]), so adding a vector is a few word
+/// operations per 64 components.
 #[derive(Debug, Clone)]
 pub struct Bundler {
-    counts: Vec<u32>,
-    n: u32,
+    counts: BitCounter,
     tiebreak: Hypervector,
 }
 
@@ -144,8 +154,7 @@ impl Bundler {
         assert!(d > 0, "dimension must be nonzero");
         let mut rng = cim_simkit::rng::seeded(tiebreak_seed);
         Bundler {
-            counts: vec![0; d],
-            n: 0,
+            counts: BitCounter::new(d),
             tiebreak: Hypervector::random(d, &mut rng),
         }
     }
@@ -156,21 +165,18 @@ impl Bundler {
     ///
     /// Panics if the dimension differs.
     pub fn add(&mut self, hv: &Hypervector) {
-        assert_eq!(hv.dim(), self.counts.len(), "dimension mismatch");
-        for i in hv.bits.iter_ones() {
-            self.counts[i] += 1;
-        }
-        self.n += 1;
+        assert_eq!(hv.dim(), self.tiebreak.dim(), "dimension mismatch");
+        self.counts.add(&hv.bits);
     }
 
     /// Number of vectors bundled so far.
     pub fn len(&self) -> u32 {
-        self.n
+        self.counts.added() as u32
     }
 
     /// `true` if nothing was added yet.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.counts.added() == 0
     }
 
     /// Finalizes the bundle: bit `i` is 1 when strictly more than half
@@ -181,16 +187,13 @@ impl Bundler {
     ///
     /// Panics if the bundle is empty.
     pub fn finalize(&self) -> Hypervector {
-        assert!(self.n > 0, "cannot finalize an empty bundle");
-        let n = self.n;
-        let bits = BitVec::from_fn(self.counts.len(), |i| {
-            let c = 2 * self.counts[i];
-            if c == n {
-                self.tiebreak.bits.get(i)
-            } else {
-                c > n
-            }
-        });
+        let n = self.counts.added();
+        assert!(n > 0, "cannot finalize an empty bundle");
+        // 2c > n ⇔ c > ⌊n/2⌋; a tie 2c == n exists only for even n.
+        let (mut bits, at_half) = self.counts.compare(n / 2);
+        if n.is_multiple_of(2) {
+            bits.or_assign(&at_half.and(&self.tiebreak.bits));
+        }
         Hypervector { bits }
     }
 }

@@ -1495,6 +1495,13 @@ impl PoolShared {
     /// cannot strand this waiter — once it holds the receiver lock, it
     /// is the only thread that can consume completions.
     ///
+    /// A received completion is folded in before the receiver lock is
+    /// released (as [`PoolShared::try_pump`] does; lock order
+    /// completions → state). Releasing it first would let another waiter
+    /// take the receiver, see its job not yet done because the
+    /// completion is still in this thread's hands, and block in `recv`
+    /// with nothing left in flight.
+    ///
     /// # Panics
     ///
     /// Panics if the pool shuts down before the predicate holds.
@@ -1506,17 +1513,16 @@ impl PoolShared {
                     return;
                 }
             }
-            let completion = {
-                let rx = lock(&self.completions);
-                {
-                    let st = lock(&self.state);
-                    if done(&st) {
-                        return;
-                    }
+            let rx = lock(&self.completions);
+            {
+                let st = lock(&self.state);
+                if done(&st) {
+                    return;
                 }
-                rx.recv()
-                    .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding"))
-            };
+            }
+            let completion = rx
+                .recv()
+                .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding"));
             self.process(completion);
         }
     }

@@ -64,14 +64,17 @@ impl BitVec {
     }
 
     /// Builds a vector of `len` bits from a closure mapping index → bit.
+    /// `f` is called once per index, in ascending order, so a closure that
+    /// draws from an RNG consumes the stream bit 0 first.
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
-        let mut v = BitVec::zeros(len);
-        for i in 0..len {
-            if f(i) {
-                v.set(i, true);
-            }
-        }
-        v
+        let words = (0..len.div_ceil(WORD_BITS))
+            .map(|w| {
+                let base = w * WORD_BITS;
+                (0..WORD_BITS.min(len - base))
+                    .fold(0u64, |word, b| word | (f(base + b) as u64) << b)
+            })
+            .collect();
+        BitVec { words, len }
     }
 
     /// Builds a vector of `len` bits directly from packed `u64` words
@@ -258,6 +261,9 @@ impl BitVec {
     /// Bitwise majority of an odd number of equal-length vectors — the HD
     /// computing "addition" (componentwise majority with no tie possible).
     ///
+    /// Counts the inputs word by word in a [`BitCounter`], so the cost is
+    /// one ripple-carry per input word rather than one probe per bit.
+    ///
     /// # Panics
     ///
     /// Panics if `vs` is empty, lengths differ, or `vs.len()` is even.
@@ -268,26 +274,61 @@ impl BitVec {
             "majority requires an odd count, got {}",
             vs.len()
         );
-        let len = vs[0].len;
+        let mut counter = BitCounter::new(vs[0].len);
         for v in vs {
-            assert_eq!(v.len, len, "bit vector length mismatch");
+            counter.add(v);
         }
-        let threshold = vs.len() / 2;
-        BitVec::from_fn(len, |i| {
-            let ones = vs.iter().filter(|v| v.get(i)).count();
-            ones > threshold
-        })
+        counter.compare(vs.len() / 2).0
     }
 
     /// Cyclic rotation left by `k` positions — the HD computing permutation
     /// operation ρ. Bit `i` of the result equals bit `(i + len - k) % len`
     /// of the input, i.e. every bit moves *up* by `k`.
+    ///
+    /// Runs a word at a time: the `len`-bit vector shifted up by `k`, OR
+    /// the same vector shifted down by `len - k`, with the tail masked.
     pub fn rotate(&self, k: usize) -> Self {
         if self.len == 0 {
             return self.clone();
         }
         let k = k % self.len;
-        BitVec::from_fn(self.len, |i| self.get((i + self.len - k) % self.len))
+        if k == 0 {
+            return self.clone();
+        }
+        let mut words = vec![0u64; self.words.len()];
+        self.shl_or_into(k, &mut words);
+        self.shr_or_into(self.len - k, &mut words);
+        BitVec::from_words(words, self.len)
+    }
+
+    /// ORs `self` shifted up by `shift < len` bits into `out`. Bits pushed
+    /// past the last word are dropped; those past `len` in the last word
+    /// are cleared by the caller's tail mask.
+    fn shl_or_into(&self, shift: usize, out: &mut [u64]) {
+        let (skip, bits) = (shift / WORD_BITS, shift % WORD_BITS);
+        for (j, dst) in out.iter_mut().enumerate().skip(skip) {
+            let src = j - skip;
+            let mut w = self.words[src] << bits;
+            if bits != 0 && src > 0 {
+                w |= self.words[src - 1] >> (WORD_BITS - bits);
+            }
+            *dst |= w;
+        }
+    }
+
+    /// ORs `self` shifted down by `shift < len` bits into `out`. Exact
+    /// because the tail bits beyond `len` are always zero.
+    fn shr_or_into(&self, shift: usize, out: &mut [u64]) {
+        let (skip, bits) = (shift / WORD_BITS, shift % WORD_BITS);
+        let n = self.words.len();
+        for (j, dst) in out.iter_mut().enumerate().take(n - skip) {
+            let src = j + skip;
+            let mut w = self.words[src] >> bits;
+            if bits != 0 && src + 1 < n {
+                w |= self.words[src + 1] << (WORD_BITS - bits);
+            }
+            *dst |= w;
+        }
     }
 
     /// Hamming distance (count of differing positions).
@@ -376,6 +417,113 @@ impl FromIterator<bool> for BitVec {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         let bits: Vec<bool> = iter.into_iter().collect();
         BitVec::from_bools(&bits)
+    }
+}
+
+/// Per-position counts of set bits over a stream of equal-length bit
+/// vectors, stored bit-sliced: plane `b` holds bit `b` of every
+/// position's count, packed 64 positions per word like [`BitVec`].
+///
+/// [`BitCounter::add`] is a carry-save ripple: the added words XOR into
+/// the lowest plane, their carries into the next, and so on, stopping as
+/// soon as the carry is zero. Its cost is a few word operations per 64
+/// positions whatever the density of the added vector. This is the
+/// counting core of MAP addition (majority bundling).
+///
+/// # Example
+///
+/// ```
+/// use cim_simkit::bitvec::{BitCounter, BitVec};
+///
+/// let mut c = BitCounter::new(3);
+/// c.add(&BitVec::from_bools(&[true, true, false]));
+/// c.add(&BitVec::from_bools(&[true, false, false]));
+/// let (above, at) = c.compare(1);
+/// assert_eq!(above.to_bools(), vec![true, false, false]);
+/// assert_eq!(at.to_bools(), vec![false, true, false]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct BitCounter {
+    planes: Vec<Vec<u64>>,
+    len: usize,
+    added: usize,
+}
+
+impl BitCounter {
+    /// Creates a counter over `len` positions with every count zero.
+    pub fn new(len: usize) -> Self {
+        BitCounter {
+            planes: Vec::new(),
+            len,
+            added: 0,
+        }
+    }
+
+    /// The number of vectors added so far (the largest possible count).
+    pub fn added(&self) -> usize {
+        self.added
+    }
+
+    /// Adds one to the count of every position `v` sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len()` differs from the counter's length.
+    pub fn add(&mut self, v: &BitVec) {
+        assert_eq!(v.len, self.len, "bit vector length mismatch");
+        self.added += 1;
+        // Enough planes to hold the largest count reachable after this add.
+        while self.added >> self.planes.len() != 0 {
+            self.planes.push(vec![0; v.words.len()]);
+        }
+        // Ripple a block of carry words up the planes at a time, so the
+        // inner loop is branch-free over the block.
+        const BLOCK: usize = 32;
+        for (b, block) in v.words.chunks(BLOCK).enumerate() {
+            let base = b * BLOCK;
+            let mut carry = [0u64; BLOCK];
+            carry[..block.len()].copy_from_slice(block);
+            for plane in &mut self.planes {
+                let mut live = 0;
+                for (p, c) in plane[base..base + block.len()].iter_mut().zip(&mut carry) {
+                    let old = *p;
+                    *p = old ^ *c;
+                    *c &= old;
+                    live |= *c;
+                }
+                if live == 0 {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Compares every position's count with `t`, returning the masks of
+    /// positions whose count is above `t` and exactly `t`.
+    pub fn compare(&self, t: usize) -> (BitVec, BitVec) {
+        if t >> self.planes.len() != 0 {
+            // `t` exceeds every representable count.
+            return (BitVec::zeros(self.len), BitVec::zeros(self.len));
+        }
+        // Walk the count bits from the most significant down: a position
+        // stays in `at` while its count agrees with `t` so far, and moves
+        // to `above` at the first bit where its count has a 1 and `t` a 0.
+        let mut above = BitVec::zeros(self.len);
+        let mut at = BitVec::ones(self.len);
+        for (b, plane) in self.planes.iter().enumerate().rev() {
+            let pairs = above.words.iter_mut().zip(&mut at.words).zip(plane);
+            if (t >> b) & 1 == 1 {
+                for ((_, eq), &c) in pairs {
+                    *eq &= c;
+                }
+            } else {
+                for ((gt, eq), &c) in pairs {
+                    *gt |= *eq & c;
+                    *eq &= !c;
+                }
+            }
+        }
+        (above, at)
     }
 }
 
@@ -498,6 +646,27 @@ mod tests {
         assert_eq!(r.to_bools(), vec![false, false, true, false, false]);
         assert_eq!(v.rotate(5), v);
         assert_eq!(v.rotate(7), v.rotate(2));
+    }
+
+    #[test]
+    fn counter_compares_against_any_threshold() {
+        let mut c = BitCounter::new(70);
+        assert_eq!(c.compare(0).1, BitVec::ones(70), "all counts start at 0");
+        for k in 0..5 {
+            c.add(&BitVec::from_fn(70, |i| i % 5 > k));
+        }
+        assert_eq!(c.added(), 5);
+        for t in 0..=5 {
+            let (above, at) = c.compare(t);
+            for i in 0..70 {
+                let count = i % 5;
+                assert_eq!(above.get(i), count > t, "position {i}, t {t}");
+                assert_eq!(at.get(i), count == t, "position {i}, t {t}");
+            }
+        }
+        // Thresholds past every representable count match nothing.
+        assert_eq!(c.compare(1 << 20).0.count_ones(), 0);
+        assert_eq!(c.compare(1 << 20).1.count_ones(), 0);
     }
 
     #[test]

@@ -610,3 +610,45 @@ fn key_lookup_joins_the_q6_bitmap_plan() {
     assert_eq!(usage.kind, "cam-keys");
     assert!(usage.load_stats.key_writes > 0, "keys written at load");
 }
+
+#[test]
+fn concurrent_closed_loop_waiters_never_strand() {
+    // Two sessions submit-and-wait tiny jobs back to back, so their
+    // `wait`s race for the completion receiver the whole time. A waiter
+    // that takes the receiver while the other still holds an unprocessed
+    // completion must not block with nothing in flight: every wait is
+    // bounded by a watchdog, so a stranded waiter fails the test instead
+    // of hanging it.
+    const ITERATIONS: usize = 2000;
+    const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(20);
+    let pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let (progress_tx, progress_rx) = std::sync::mpsc::channel();
+    let workers: Vec<_> = (0..2u32)
+        .map(|t| {
+            let session = pool.client(TenantId(30 + t));
+            let progress = progress_tx.clone();
+            std::thread::spawn(move || {
+                let spec = WorkloadSpec::ScoutBulk {
+                    op: ScoutOp::Xor,
+                    rows: (0..2)
+                        .map(|r| BitVec::from_fn(64, |j| (j + r) % 3 == t as usize))
+                        .collect(),
+                };
+                for _ in 0..ITERATIONS {
+                    let report = session.submit(&spec).unwrap().wait();
+                    assert!(report.output.is_ok(), "{:?}", report.output);
+                    progress.send(t).unwrap();
+                }
+            })
+        })
+        .collect();
+    drop(progress_tx);
+    for done in 0..2 * ITERATIONS {
+        progress_rx.recv_timeout(WATCHDOG).unwrap_or_else(|e| {
+            panic!("no job completed within {WATCHDOG:?} after {done} waits: {e}")
+        });
+    }
+    for worker in workers {
+        worker.join().unwrap();
+    }
+}
