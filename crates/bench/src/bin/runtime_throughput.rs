@@ -1132,41 +1132,53 @@ const NULL_SINK_NS_PER_OP: f64 = 100.0;
 fn verify_all_overhead() -> BenchEntry {
     println!("\n# VERIFY-ALL — admission-verifier overhead on the mixed job set (2 shards)\n");
     let jobs = job_set();
-    let serve = |verify_all: bool| -> (f64, f64) {
-        let mut cfg = PoolConfig::with_shards(2);
-        cfg.verify_all_programs = verify_all;
-        let pool = RuntimePool::new(cfg);
-        // Submission included in the measured window: the verifier
-        // runs at admission, timing `wait_all` alone would hide it.
-        let start = Instant::now();
-        let handles: Vec<JobHandle> = jobs
-            .iter()
-            .map(|(tenant, spec)| pool.client(*tenant).submit(spec).expect("job fits pool"))
-            .collect();
-        let reports = pool.client(TenantId(0)).wait_all(handles);
-        let wall = start.elapsed().as_secs_f64();
-        assert!(
-            reports.iter().all(|r| r.output.is_ok()),
-            "all jobs must verify clean and complete"
-        );
-        (wall, pool.telemetry().simulated_makespan().0)
+    // Serves the job set `reps` times, each on a fresh pool, and
+    // returns the summed wall time and the last serve's makespan.
+    let serve = |verify_all: bool, reps: usize| -> (f64, f64) {
+        let (mut wall, mut sim) = (0.0, 0.0);
+        for _ in 0..reps {
+            let mut cfg = PoolConfig::with_shards(2);
+            cfg.verify_all_programs = verify_all;
+            let pool = RuntimePool::new(cfg);
+            // Submission included in the measured window: the verifier
+            // runs at admission, timing `wait_all` alone would hide it.
+            let start = Instant::now();
+            let handles: Vec<JobHandle> = jobs
+                .iter()
+                .map(|(tenant, spec)| pool.client(*tenant).submit(spec).expect("job fits pool"))
+                .collect();
+            let reports = pool.client(TenantId(0)).wait_all(handles);
+            wall += start.elapsed().as_secs_f64();
+            assert!(
+                reports.iter().all(|r| r.output.is_ok()),
+                "all jobs must verify clean and complete"
+            );
+            sim = pool.telemetry().simulated_makespan().0;
+        }
+        (wall, sim)
     };
     // One discarded warm-up (allocator + page-cache effects land on the
     // first serve), then interleaved best-of-3 per mode: interleaving
     // cancels slow host drift and minima damp scheduler noise, which
-    // single back-to-back runs at a 5% bar are hostage to.
-    serve(false);
+    // single back-to-back runs at a 5% bar are hostage to. The set
+    // serves in about 0.1 s, where one serve's jitter alone exceeds the
+    // bar, so each sample serves it enough times to take about 1 s.
+    let reps = (1.0 / serve(false, 1).0).ceil().max(1.0) as usize;
     let (mut wall_base, mut wall_verify, mut sim) = (f64::INFINITY, f64::INFINITY, 0.0);
     for _ in 0..3 {
-        wall_base = wall_base.min(serve(false).0);
-        let (wall, s) = serve(true);
+        wall_base = wall_base.min(serve(false, reps).0);
+        let (wall, s) = serve(true, reps);
         wall_verify = wall_verify.min(wall);
         sim = s;
     }
     let overhead = (wall_verify - wall_base) / wall_base;
-    println!("{:>12} {:>12} {:>10}", "base (s)", "verify (s)", "overhead");
     println!(
-        "{:>12.3} {:>12.3} {:>9.2}%",
+        "{:>6} {:>12} {:>12} {:>10}",
+        "serves", "base (s)", "verify (s)", "overhead"
+    );
+    println!(
+        "{:>6} {:>12.3} {:>12.3} {:>9.2}%",
+        reps,
         wall_base,
         wall_verify,
         overhead * 100.0
@@ -1179,10 +1191,11 @@ fn verify_all_overhead() -> BenchEntry {
     BenchEntry::new(
         "verify_all_overhead",
         sim,
-        wall_verify * 1e3,
+        wall_verify * 1e3 / reps as f64,
         wall_base / wall_verify,
     )
     .extra("verify_overhead", overhead)
+    .extra("serves_per_sample", reps as f64)
 }
 
 /// The offload planner's wall-clock case: a swarm of tiny host-winning

@@ -31,6 +31,7 @@ use cim_core::AddressMap;
 use cim_crossbar::cam::{host_match, key_bits, RuleSet};
 use cim_crossbar::scouting::ScoutOp;
 use cim_hdc::lang::LanguageTask;
+use cim_hdc::Hypervector;
 use cim_imgproc::image::GrayImage;
 use cim_lint::CostEnvelope;
 use cim_nn::binarized::{argmax_scores, snap_to_parity, BinarizedMlp};
@@ -51,7 +52,8 @@ pub struct TileDemand {
     pub analog: usize,
 }
 
-/// Cache/offload profile used for the `cim-arch` host-vs-CIM estimate.
+/// Cache/offload profile used for the `cim-arch` host-vs-CIM estimate;
+/// a constant per workload family ([`JobKind::host_profile`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostProfile {
     /// Fraction of dynamic instructions the CIM core absorbs.
@@ -428,8 +430,6 @@ pub struct CompiledJob {
     pub placement: Option<AddressMap>,
     /// Bytes resident in CIM tiles while the job runs.
     pub resident_bytes: u64,
-    /// Offload profile for the analytical speedup estimate.
-    pub host_profile: HostProfile,
     /// Seed of the job's private noise stream.
     pub seed: u64,
     /// Whether the job is digital-tile-parallel: every instruction
@@ -446,13 +446,6 @@ pub struct CompiledJob {
     /// cost authority: batching, balancing and the offload planner all
     /// read it.
     pub envelope: CostEnvelope,
-    /// The host-fallback result, precomputed at compile time for
-    /// workload kinds whose host reference path is certified
-    /// bit-identical to the CIM execution. `None` when the kind has no
-    /// such certificate (raw streams, analog-score HDC) or when the
-    /// pool policy never routes to the host — the planner can only
-    /// pick the host lane when this is `Some`.
-    pub host: Option<JobOutput>,
 }
 
 impl CompiledJob {
@@ -649,14 +642,51 @@ pub(crate) fn q6_row_bases() -> (usize, usize, usize, usize) {
     (month_base, discount_base, quantity_base, scratch_base)
 }
 
+/// What a workload's lowering decides. [`compile`] derives the rest of
+/// the [`CompiledJob`] from the spec, its own arguments and, for dataset
+/// queries, the [`ResidentView`].
+struct Lowered {
+    demand: TileDemand,
+    instructions: Vec<CimInstruction>,
+    outputs: Vec<usize>,
+    finalizer: Finalizer,
+    /// Bytes the job keeps resident. Query lowerings leave this at 0: a
+    /// query reports its dataset's bytes, taken from the view.
+    resident_bytes: u64,
+    splittable: bool,
+}
+
+impl Lowered {
+    /// Runs this query lowering cold: `load` (the load program of the
+    /// query's dataset twin) first, then the query over the tiles it
+    /// just wrote. The job keeps the load's tiles and bytes resident.
+    fn after_load(mut self, load: DatasetProgram) -> Lowered {
+        let offset = load.instructions.len();
+        let mut instructions = load.instructions;
+        instructions.append(&mut self.instructions);
+        self.outputs.iter_mut().for_each(|o| *o += offset);
+        Lowered {
+            demand: load.demand,
+            instructions,
+            resident_bytes: load.resident_bytes,
+            ..self
+        }
+    }
+}
+
 /// Lowers a workload into a [`CompiledJob`].
 ///
 /// `seed` is the job's private noise stream; `window_base` is where the
 /// scheduler placed the job's resident window in the extended address
-/// space. `resident` is the record of the dataset a
-/// [`WorkloadSpec::Q6Query`] / [`WorkloadSpec::HdcQuery`] runs against
-/// (the scheduler resolves and validates it before compiling; plain
-/// workloads pass `None`).
+/// space. `resident` is the record of the dataset a query spec runs
+/// against (the scheduler resolves and validates it before compiling;
+/// plain workloads pass `None`).
+///
+/// Every workload kind has exactly one lowering. The cold kinds with a
+/// dataset twin reuse it: [`WorkloadSpec::HdcClassify`] and
+/// [`WorkloadSpec::NnInfer`] are their twin's load program followed by
+/// the twin query's lowering, and [`WorkloadSpec::Q6Select`] emits each
+/// tile's query reductions right after that tile's bin writes.
 pub(crate) fn compile(
     spec: &WorkloadSpec,
     job: JobId,
@@ -666,78 +696,38 @@ pub(crate) fn compile(
     window_base: u64,
     resident: Option<&ResidentView>,
 ) -> Result<CompiledJob, CompileError> {
-    let mut compiled = match spec {
-        WorkloadSpec::Q6Query { dataset, params } => {
-            let record = resident_view(resident);
-            compile_q6_query(*dataset, record, *params, job, tenant, cfg, seed)
-        }
-        WorkloadSpec::HdcQuery {
-            dataset,
-            samples,
-            sample_len,
-        } => {
-            let record = resident_view(resident);
-            compile_hdc_query(
-                *dataset,
-                record,
-                *samples,
-                *sample_len,
-                job,
-                tenant,
-                cfg,
-                seed,
-            )
-        }
-        WorkloadSpec::CamSearch {
-            dataset,
-            kind,
-            keys,
-        } => {
-            let record = resident_view(resident);
-            compile_cam_search(*dataset, record, *kind, keys, job, tenant, cfg, seed)
-        }
-        WorkloadSpec::RuleClassify { dataset, packets } => {
-            let record = resident_view(resident);
-            compile_rule_classify(*dataset, record, packets, job, tenant, cfg, seed)
-        }
-        WorkloadSpec::KeyLookup { dataset, probes } => {
-            let record = resident_view(resident);
-            compile_key_lookup(*dataset, record, probes, job, tenant, cfg, seed)
-        }
-        WorkloadSpec::HdcAssoc {
-            classes,
-            d,
-            ngram,
-            train_len,
-            samples,
-            sample_len,
-        } => compile_hdc_assoc(
-            *classes,
-            *d,
-            *ngram,
-            *train_len,
-            *samples,
-            *sample_len,
-            job,
-            tenant,
-            cfg,
-            seed,
-            window_base,
-        ),
+    let payload = || &resident_view(resident).payload;
+    let mismatch = |dataset: &DatasetId| CompileError::DatasetKindMismatch { dataset: *dataset };
+    let lowered = match spec {
         WorkloadSpec::Q6Select {
             rows,
             table_seed,
             params,
-        } => compile_q6(
-            *rows,
-            *table_seed,
-            *params,
-            job,
-            tenant,
-            cfg,
-            seed,
-            window_base,
-        ),
+        } => {
+            let mut outputs = Vec::new();
+            let load = load_q6_table(*rows, *table_seed, cfg, |instructions, t| {
+                emit_q6_query(instructions, &mut outputs, params, t, cfg);
+            })?;
+            let ResidentPayload::Q6 { table, widths } = load.payload else {
+                unreachable!("a Q6 table load holds its table")
+            };
+            Lowered {
+                demand: load.demand,
+                instructions: load.instructions,
+                outputs,
+                finalizer: Finalizer::Q6 {
+                    table,
+                    params: *params,
+                    widths,
+                },
+                resident_bytes: load.resident_bytes,
+                splittable: true,
+            }
+        }
+        WorkloadSpec::Q6Query { dataset, params } => match payload() {
+            ResidentPayload::Q6 { table, widths } => lower_q6_query(table, widths, *params, cfg),
+            _ => return Err(mismatch(dataset)),
+        },
         WorkloadSpec::HdcClassify {
             classes,
             d,
@@ -745,83 +735,114 @@ pub(crate) fn compile(
             train_len,
             samples,
             sample_len,
-        } => compile_hdc(
+        } => {
+            // Empty work is reported before the prototype shape check.
+            if *samples == 0 || *sample_len == 0 {
+                return Err(CompileError::EmptyWorkload);
+            }
+            let load = load_hdc_prototypes(*classes, *d, *ngram, *train_len, cfg, seed)?;
+            let ResidentPayload::Hdc { task, .. } = &load.payload else {
+                unreachable!("an HDC prototype load holds its task")
+            };
+            let query = lower_hdc_query(task, *classes, *d, *samples, *sample_len, cfg, seed)?;
+            query.after_load(load)
+        }
+        WorkloadSpec::HdcQuery {
+            dataset,
+            samples,
+            sample_len,
+        } => match payload() {
+            ResidentPayload::Hdc { task, classes, d } => {
+                lower_hdc_query(task, *classes, *d, *samples, *sample_len, cfg, seed)?
+            }
+            _ => return Err(mismatch(dataset)),
+        },
+        WorkloadSpec::HdcAssoc {
+            classes,
+            d,
+            ngram,
+            train_len,
+            samples,
+            sample_len,
+        } => lower_hdc_assoc(
             *classes,
             *d,
             *ngram,
             *train_len,
             *samples,
             *sample_len,
-            job,
-            tenant,
             cfg,
             seed,
-        ),
+        )?,
         WorkloadSpec::NnInfer { network, inputs } => {
-            compile_nn_infer(network, inputs, job, tenant, cfg, seed)
+            // Layer shapes are reported before the inputs, and the
+            // inputs before the layer count the load checks.
+            nn_geometry(network, cfg)?;
+            let query = lower_nn_query(network, inputs, cfg)?;
+            query.after_load(load_nn_weights(network, cfg)?)
         }
-        WorkloadSpec::NnQuery { dataset, inputs } => {
-            let record = resident_view(resident);
-            compile_nn_query(*dataset, record, inputs, job, tenant, cfg, seed)
-        }
-        WorkloadSpec::ImgFilter { image, filter } => {
-            compile_img(image, *filter, job, tenant, cfg, seed, window_base)
-        }
-        WorkloadSpec::XorEncrypt { message, key_seed } => {
-            compile_xor(message, *key_seed, job, tenant, cfg, seed, window_base)
-        }
-        WorkloadSpec::ScoutBulk { op, rows } => {
-            compile_scout(*op, rows, job, tenant, cfg, seed, window_base)
-        }
-        WorkloadSpec::RawQuery {
+        WorkloadSpec::NnQuery { dataset, inputs } => match payload() {
+            ResidentPayload::Nn { network } => lower_nn_query(network, inputs, cfg)?,
+            _ => return Err(mismatch(dataset)),
+        },
+        WorkloadSpec::CamSearch {
             dataset,
-            instructions,
+            kind,
+            keys,
         } => {
-            let record = resident_view(resident);
+            let (width, entries) = match payload() {
+                ResidentPayload::CamRules { rules, entries } => (rules.width(), entries),
+                ResidentPayload::CamKeys { width, entries, .. } => (*width, entries),
+                _ => return Err(mismatch(dataset)),
+            };
+            lower_cam_search(width, entries, *kind, keys, cfg)?
+        }
+        WorkloadSpec::RuleClassify { dataset, packets } => match payload() {
+            ResidentPayload::CamRules { rules, entries } => {
+                lower_rule_classify(rules, entries, packets, cfg)?
+            }
+            _ => return Err(mismatch(dataset)),
+        },
+        WorkloadSpec::KeyLookup { dataset, probes } => match payload() {
+            ResidentPayload::CamKeys {
+                keys,
+                width,
+                entries,
+            } => lower_key_lookup(keys, *width, entries, probes, cfg)?,
+            _ => return Err(mismatch(dataset)),
+        },
+        WorkloadSpec::ImgFilter { image, filter } => lower_img(image, *filter, cfg)?,
+        WorkloadSpec::XorEncrypt { message, key_seed } => lower_xor(message, *key_seed, cfg)?,
+        WorkloadSpec::ScoutBulk { op, rows } => lower_scout(*op, rows, cfg)?,
+        WorkloadSpec::RawQuery { instructions, .. } => {
+            let view = resident_view(resident);
             // The stream addresses the dataset's pinned tiles: demand
             // is exactly the pin, so the scheduler maps virtual tiles
             // onto the dataset's placement like any other query.
-            let analog = match &record.payload {
+            let analog = match &view.payload {
                 ResidentPayload::Hdc { .. } => 1,
                 ResidentPayload::Nn { network } => network.layers().len(),
                 ResidentPayload::Q6 { .. }
                 | ResidentPayload::CamRules { .. }
                 | ResidentPayload::CamKeys { .. } => 0,
             };
-            Ok(CompiledJob {
-                job,
-                tenant,
-                kind: JobKind::Raw,
-                dataset: Some(*dataset),
+            Lowered {
                 demand: TileDemand {
-                    digital: record.digital_tiles,
+                    digital: view.digital_tiles,
                     analog,
                 },
                 instructions: instructions.clone(),
                 outputs: (0..instructions.len()).collect(),
                 finalizer: Finalizer::Raw,
-                placement: record.placement,
-                resident_bytes: record.resident_bytes,
-                host_profile: HostProfile {
-                    accel_fraction: 0.5,
-                    l1_miss: 0.5,
-                    l2_miss: 0.5,
-                },
-                seed,
+                resident_bytes: 0,
                 splittable: false,
-                envelope: CostEnvelope::default(),
-                host: None,
-            })
+            }
         }
         WorkloadSpec::Raw {
             digital_tiles,
             analog_tiles,
             instructions,
-        } => Ok(CompiledJob {
-            job,
-            tenant,
-            kind: JobKind::Raw,
-            dataset: None,
+        } => Lowered {
             demand: TileDemand {
                 digital: *digital_tiles,
                 analog: *analog_tiles,
@@ -829,29 +850,45 @@ pub(crate) fn compile(
             instructions: instructions.clone(),
             outputs: (0..instructions.len()).collect(),
             finalizer: Finalizer::Raw,
-            placement: digital_placement(window_base, *digital_tiles, cfg),
             resident_bytes: (instructions.len() as u64) * 8,
-            host_profile: HostProfile {
-                accel_fraction: 0.5,
-                l1_miss: 0.5,
-                l2_miss: 0.5,
-            },
-            seed,
             splittable: false,
-            envelope: CostEnvelope::default(),
-            host: None,
-        }),
-    }?;
-    // Seal the certified cost envelope: every admitted job carries the
-    // analyzer's verdict, and batching/balancing read nothing else.
-    compiled.envelope = crate::verify::envelope_of(&compiled.instructions, compiled.demand, cfg);
-    // Precompute the host-fallback result for kinds with a certified
-    // bit-identical host path, but only when the pool's policy can ever
-    // route to the host — under `AlwaysCim` the work would be pure
-    // waste at admission time.
-    if cfg.offload_policy != crate::schedule::OffloadPolicy::AlwaysCim {
-        compiled.host = host_reference(spec, &compiled, cfg, resident);
-    }
+        },
+    };
+    let Lowered {
+        demand,
+        instructions,
+        outputs,
+        finalizer,
+        resident_bytes,
+        splittable,
+    } = lowered;
+    // A query runs in its dataset's window; a cold job gets a fresh
+    // window sized to its digital tiles (none for analog-only jobs).
+    let (placement, resident_bytes) = match resident {
+        Some(view) => (view.placement, view.resident_bytes),
+        None => (
+            digital_placement(window_base, demand.digital, cfg),
+            resident_bytes,
+        ),
+    };
+    let compiled = CompiledJob {
+        job,
+        tenant,
+        kind: spec.kind(),
+        dataset: spec.dataset(),
+        demand,
+        // Seal the certified cost envelope: every admitted job carries
+        // the analyzer's verdict, and batching/balancing read nothing
+        // else.
+        envelope: crate::verify::envelope_of(&instructions, demand, cfg),
+        instructions,
+        outputs,
+        finalizer,
+        placement,
+        resident_bytes,
+        seed,
+        splittable,
+    };
     // The compiler holds its own output to the lint-clean bar: in debug
     // builds every non-raw program is re-checked by the static verifier
     // at submit, so a lowering bug surfaces here with a rule code
@@ -981,7 +1018,7 @@ fn nn_host_scores(mlp: &BinarizedMlp, inputs: &[BitVec]) -> JobOutput {
 ///   exactness certificate even with noise disabled: never host-routed.
 /// * **Raw streams** — tenant instruction streams have no host
 ///   semantics at all.
-fn host_reference(
+pub(crate) fn host_reference(
     spec: &WorkloadSpec,
     compiled: &CompiledJob,
     cfg: &PoolConfig,
@@ -1264,92 +1301,60 @@ fn q6_resident_bytes(tiles: usize, cfg: &PoolConfig) -> u64 {
     bin_rows * tiles as u64 * cfg.tile_cols.div_ceil(8) as u64
 }
 
-#[allow(clippy::too_many_arguments)]
-fn compile_q6(
+/// The [`DatasetSpec::Q6Table`] load program: generates the table and
+/// writes its bitmap bins tile by tile. `after_tile(instructions, t)`
+/// runs right after tile `t`'s writes; a cold [`WorkloadSpec::Q6Select`]
+/// emits that tile's query reductions there.
+fn load_q6_table(
     rows: usize,
     table_seed: u64,
-    params: Q6Params,
-    job: JobId,
-    tenant: TenantId,
     cfg: &PoolConfig,
-    seed: u64,
-    window_base: u64,
-) -> Result<CompiledJob, CompileError> {
+    mut after_tile: impl FnMut(&mut Vec<CimInstruction>, usize),
+) -> Result<DatasetProgram, CompileError> {
     let tiles = q6_footprint(rows, cfg)?;
     let table = LineItemTable::generate(rows, table_seed);
     let idx = Q6Indexes::build(&table);
-
     let mut instructions = Vec::new();
-    let mut outputs = Vec::new();
     let mut widths = Vec::with_capacity(tiles);
     let mut start = 0;
     for t in 0..tiles {
         let width = cfg.tile_cols.min(rows - start);
         widths.push(width);
         emit_q6_bin_writes(&mut instructions, &idx, t, start, width, cfg);
-        emit_q6_query(&mut instructions, &mut outputs, &params, t, cfg);
+        after_tile(&mut instructions, t);
         start += width;
     }
-
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::Q6Select,
-        dataset: None,
+    Ok(DatasetProgram {
+        instructions,
         demand: TileDemand {
             digital: tiles,
             analog: 0,
         },
-        instructions,
-        outputs,
-        finalizer: Finalizer::Q6 {
+        payload: ResidentPayload::Q6 {
             table: Arc::new(table),
-            params,
             widths,
         },
-        placement: digital_placement(window_base, tiles, cfg),
         resident_bytes: q6_resident_bytes(tiles, cfg),
-        host_profile: HostProfile {
-            accel_fraction: 0.9,
-            l1_miss: 1.0,
-            l2_miss: 1.0,
-        },
-        seed,
-        splittable: true,
-        envelope: CostEnvelope::default(),
-        host: None,
     })
 }
 
-/// A query job against a resident Q6 dataset: reductions only, lowered
-/// onto the dataset's virtual tile order. The resident-data writes were
-/// paid once at [`compile_dataset_load`] time.
-#[allow(clippy::too_many_arguments)]
-fn compile_q6_query(
-    dataset: DatasetId,
-    record: &ResidentView,
+/// A query against a resident Q6 table: reductions only, lowered onto
+/// the dataset's virtual tile order. The bin writes were paid once, by
+/// [`load_q6_table`].
+fn lower_q6_query(
+    table: &Arc<LineItemTable>,
+    widths: &[usize],
     params: Q6Params,
-    job: JobId,
-    tenant: TenantId,
     cfg: &PoolConfig,
-    seed: u64,
-) -> Result<CompiledJob, CompileError> {
-    let ResidentPayload::Q6 { table, widths } = &record.payload else {
-        return Err(CompileError::DatasetKindMismatch { dataset });
-    };
-    let tiles = record.digital_tiles;
+) -> Lowered {
     let mut instructions = Vec::new();
     let mut outputs = Vec::new();
-    for t in 0..tiles {
+    for t in 0..widths.len() {
         emit_q6_query(&mut instructions, &mut outputs, &params, t, cfg);
     }
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::Q6Query,
-        dataset: Some(dataset),
+    Lowered {
         demand: TileDemand {
-            digital: tiles,
+            digital: widths.len(),
             analog: 0,
         },
         instructions,
@@ -1357,38 +1362,31 @@ fn compile_q6_query(
         finalizer: Finalizer::Q6 {
             table: Arc::clone(table),
             params,
-            widths: widths.clone(),
+            widths: widths.to_vec(),
         },
-        placement: record.placement,
-        resident_bytes: record.resident_bytes,
-        host_profile: HostProfile {
-            accel_fraction: 0.9,
-            l1_miss: 1.0,
-            l2_miss: 1.0,
-        },
-        seed,
+        resident_bytes: 0,
         splittable: true,
-        envelope: CostEnvelope::default(),
-        host: None,
-    })
+    }
 }
 
-/// Emits the tile-major search pattern of an associative query: every
+/// Lowers the tile-major search pattern of an associative query: every
 /// key searched against every resident tile, tile 0's keys first —
 /// the order [`assemble_match_sets`] reassembles, and the order a
-/// scatter-gathered split reproduces by chunk concatenation.
-fn emit_cam_searches(
-    instructions: &mut Vec<CimInstruction>,
+/// scatter-gathered split reproduces by chunk concatenation. Every
+/// search is an output.
+fn lower_cam_searches(
     entries: &[usize],
     keys: &[BitVec],
     kind: MatchKind,
     width: usize,
+    finalizer: Finalizer,
     cfg: &PoolConfig,
-) {
+) -> Lowered {
     let padded: Vec<BitVec> = keys
         .iter()
         .map(|k| BitVec::from_fn(cfg.tile_cols, |j| j < width && k.get(j)))
         .collect();
+    let mut instructions = Vec::with_capacity(entries.len() * keys.len());
     for (t, &n) in entries.iter().enumerate() {
         for key in &padded {
             instructions.push(CimInstruction::MatchSearch {
@@ -1399,27 +1397,29 @@ fn emit_cam_searches(
             });
         }
     }
+    Lowered {
+        demand: TileDemand {
+            digital: entries.len(),
+            analog: 0,
+        },
+        outputs: (0..instructions.len()).collect(),
+        instructions,
+        finalizer,
+        resident_bytes: 0,
+        splittable: true,
+    }
 }
 
 /// A raw associative search against a resident CAM dataset (rule table
 /// or key dictionary): one match-line access per key per resident tile,
 /// reassembled into per-key match sets host-side.
-#[allow(clippy::too_many_arguments)]
-fn compile_cam_search(
-    dataset: DatasetId,
-    record: &ResidentView,
+fn lower_cam_search(
+    width: usize,
+    entries: &[usize],
     kind: MatchKind,
     keys: &[BitVec],
-    job: JobId,
-    tenant: TenantId,
     cfg: &PoolConfig,
-    seed: u64,
-) -> Result<CompiledJob, CompileError> {
-    let (width, entries) = match &record.payload {
-        ResidentPayload::CamRules { rules, entries } => (rules.width(), entries.clone()),
-        ResidentPayload::CamKeys { width, entries, .. } => (*width, entries.clone()),
-        _ => return Err(CompileError::DatasetKindMismatch { dataset }),
-    };
+) -> Result<Lowered, CompileError> {
     if keys.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
@@ -1437,117 +1437,53 @@ fn compile_cam_search(
             });
         }
     }
-    let mut instructions = Vec::with_capacity(entries.len() * keys.len());
-    emit_cam_searches(&mut instructions, &entries, keys, kind, width, cfg);
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::CamSearch,
-        dataset: Some(dataset),
-        demand: TileDemand {
-            digital: entries.len(),
-            analog: 0,
-        },
-        outputs: (0..instructions.len()).collect(),
-        instructions,
-        finalizer: Finalizer::Matches {
-            keys: keys.len(),
-            entries,
-        },
-        placement: record.placement,
-        resident_bytes: record.resident_bytes,
-        host_profile: HostProfile {
-            accel_fraction: 0.9,
-            l1_miss: 1.0,
-            l2_miss: 1.0,
-        },
-        seed,
-        splittable: true,
-        envelope: CostEnvelope::default(),
-        host: None,
-    })
+    let finalizer = Finalizer::Matches {
+        keys: keys.len(),
+        entries: entries.to_vec(),
+    };
+    Ok(lower_cam_searches(
+        entries, keys, kind, width, finalizer, cfg,
+    ))
 }
 
 /// Packet classification against a resident rule table: a ternary
 /// search per packet, resolved to the highest-priority (lowest-index)
 /// matching rule — bit-identical to [`RuleSet::classify`].
-#[allow(clippy::too_many_arguments)]
-fn compile_rule_classify(
-    dataset: DatasetId,
-    record: &ResidentView,
+fn lower_rule_classify(
+    rules: &RuleSet,
+    entries: &[usize],
     packets: &[u64],
-    job: JobId,
-    tenant: TenantId,
     cfg: &PoolConfig,
-    seed: u64,
-) -> Result<CompiledJob, CompileError> {
-    let ResidentPayload::CamRules { rules, entries } = &record.payload else {
-        return Err(CompileError::DatasetKindMismatch { dataset });
-    };
+) -> Result<Lowered, CompileError> {
     if packets.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
     let width = rules.width();
     let keys: Vec<BitVec> = packets.iter().map(|&p| key_bits(p, width)).collect();
-    let mut instructions = Vec::with_capacity(entries.len() * keys.len());
-    emit_cam_searches(
-        &mut instructions,
+    let finalizer = Finalizer::Resolve {
+        keys: keys.len(),
+        entries: entries.to_vec(),
+    };
+    Ok(lower_cam_searches(
         entries,
         &keys,
         MatchKind::Ternary,
         width,
+        finalizer,
         cfg,
-    );
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::RuleClassify,
-        dataset: Some(dataset),
-        demand: TileDemand {
-            digital: entries.len(),
-            analog: 0,
-        },
-        outputs: (0..instructions.len()).collect(),
-        instructions,
-        finalizer: Finalizer::Resolve {
-            keys: keys.len(),
-            entries: entries.clone(),
-        },
-        placement: record.placement,
-        resident_bytes: record.resident_bytes,
-        host_profile: HostProfile {
-            accel_fraction: 0.9,
-            l1_miss: 1.0,
-            l2_miss: 1.0,
-        },
-        seed,
-        splittable: true,
-        envelope: CostEnvelope::default(),
-        host: None,
-    })
+    ))
 }
 
 /// Key lookup against a resident dictionary: an exact search per probe,
 /// resolved to the lowest-index matching slot — the CAM half of a
 /// dictionary join.
-#[allow(clippy::too_many_arguments)]
-fn compile_key_lookup(
-    dataset: DatasetId,
-    record: &ResidentView,
+fn lower_key_lookup(
+    stored: &[u64],
+    width: usize,
+    entries: &[usize],
     probes: &[u64],
-    job: JobId,
-    tenant: TenantId,
     cfg: &PoolConfig,
-    seed: u64,
-) -> Result<CompiledJob, CompileError> {
-    let ResidentPayload::CamKeys {
-        keys: stored,
-        width,
-        entries,
-    } = &record.payload
-    else {
-        return Err(CompileError::DatasetKindMismatch { dataset });
-    };
+) -> Result<Lowered, CompileError> {
     // One dictionary key went into one CAM slot at load time; lookup
     // resolution maps match-set bit positions straight back to
     // dictionary indices, which only holds while the counts agree.
@@ -1555,42 +1491,139 @@ fn compile_key_lookup(
     if probes.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
-    let keys: Vec<BitVec> = probes.iter().map(|&p| key_bits(p, *width)).collect();
-    let mut instructions = Vec::with_capacity(entries.len() * keys.len());
-    emit_cam_searches(
-        &mut instructions,
+    let keys: Vec<BitVec> = probes.iter().map(|&p| key_bits(p, width)).collect();
+    let finalizer = Finalizer::Resolve {
+        keys: keys.len(),
+        entries: entries.to_vec(),
+    };
+    Ok(lower_cam_searches(
         entries,
         &keys,
         MatchKind::Exact,
-        *width,
+        width,
+        finalizer,
         cfg,
-    );
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::KeyLookup,
-        dataset: Some(dataset),
+    ))
+}
+
+/// Trains the HDC language task on the host and finalizes its class
+/// prototypes. One-shot prototype construction is setup work, exactly
+/// as in `LanguageTask`; only the classification runs in the array.
+fn train_hdc(
+    classes: usize,
+    d: usize,
+    ngram: usize,
+    train_len: usize,
+    seed: u64,
+) -> (LanguageTask, Vec<Hypervector>) {
+    let mut task = LanguageTask::train(classes, d, ngram, train_len, seed);
+    let prototypes = task.memory.finalize().to_vec();
+    (task, prototypes)
+}
+
+/// Samples `samples` query texts round-robin over the classes from the
+/// job's private stream and encodes them, as `(class, query)` pairs in
+/// sample order. Every HDC query kind draws its queries here, so for
+/// one seed they all classify the identical queries.
+fn hdc_queries(
+    task: &LanguageTask,
+    classes: usize,
+    samples: usize,
+    sample_len: usize,
+    seed: u64,
+) -> impl Iterator<Item = (usize, Hypervector)> + '_ {
+    let mut sample_rng = seeded(crate::mix_seed(seed, 0x5A17));
+    (0..samples).map(move |i| {
+        let class = i % classes;
+        let text = task.languages[class].sample_text(sample_len, &mut sample_rng);
+        (class, task.encoder.encode_sequence(&text))
+    })
+}
+
+/// The [`DatasetSpec::HdcPrototypes`] load program: the trained class
+/// prototypes programmed as a 0/1 matrix into one analog tile.
+fn load_hdc_prototypes(
+    classes: usize,
+    d: usize,
+    ngram: usize,
+    train_len: usize,
+    cfg: &PoolConfig,
+    seed: u64,
+) -> Result<DatasetProgram, CompileError> {
+    if classes == 0 {
+        return Err(CompileError::EmptyWorkload);
+    }
+    if classes > cfg.analog_rows || d > cfg.analog_cols {
+        return Err(CompileError::AnalogShapeTooSmall {
+            required: (classes, d),
+            available: (cfg.analog_rows, cfg.analog_cols),
+        });
+    }
+    let (task, prototypes) = train_hdc(classes, d, ngram, train_len, seed);
+    let weights = Matrix::from_fn(cfg.analog_rows, cfg.analog_cols, |r, c| {
+        if r < classes && c < d && prototypes[r].bits().get(c) {
+            1.0
+        } else {
+            0.0
+        }
+    });
+    Ok(DatasetProgram {
+        instructions: vec![CimInstruction::ProgramMatrix {
+            tile: 0,
+            matrix: weights,
+        }],
         demand: TileDemand {
-            digital: entries.len(),
-            analog: 0,
+            digital: 0,
+            analog: 1,
+        },
+        payload: ResidentPayload::Hdc {
+            task: Arc::new(task),
+            classes,
+            d,
+        },
+        resident_bytes: (classes * d) as u64 / 8,
+    })
+}
+
+/// A query against resident HDC prototypes: one MVM per sample, no
+/// matrix programming.
+fn lower_hdc_query(
+    task: &LanguageTask,
+    classes: usize,
+    d: usize,
+    samples: usize,
+    sample_len: usize,
+    cfg: &PoolConfig,
+    seed: u64,
+) -> Result<Lowered, CompileError> {
+    if samples == 0 || sample_len == 0 {
+        return Err(CompileError::EmptyWorkload);
+    }
+    let mut instructions = Vec::with_capacity(samples);
+    let mut expected = Vec::with_capacity(samples);
+    for (class, query) in hdc_queries(task, classes, samples, sample_len, seed) {
+        let x: Vec<f64> = (0..cfg.analog_cols)
+            .map(|j| {
+                if j < d && query.bits().get(j) {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        instructions.push(CimInstruction::Mvm { tile: 0, x });
+        expected.push(class);
+    }
+    Ok(Lowered {
+        demand: TileDemand {
+            digital: 0,
+            analog: 1,
         },
         outputs: (0..instructions.len()).collect(),
         instructions,
-        finalizer: Finalizer::Resolve {
-            keys: keys.len(),
-            entries: entries.clone(),
-        },
-        placement: record.placement,
-        resident_bytes: record.resident_bytes,
-        host_profile: HostProfile {
-            accel_fraction: 0.9,
-            l1_miss: 1.0,
-            l2_miss: 1.0,
-        },
-        seed,
-        splittable: true,
-        envelope: CostEnvelope::default(),
-        host: None,
+        finalizer: Finalizer::Hdc { classes, expected },
+        resident_bytes: 0,
+        splittable: false,
     })
 }
 
@@ -1598,22 +1631,19 @@ fn compile_key_lookup(
 /// binary-CAM entries, each query resolved by an expanding
 /// Hamming-window sweep ([`MatchKind::Range`] searches) plus the
 /// certified host re-rank of [`Finalizer::Assoc`]. Same task training
-/// and query sampling as [`compile_hdc`], so for one seed the two
-/// paths classify the identical queries.
+/// and query sampling as [`WorkloadSpec::HdcClassify`], so for one seed
+/// the two paths classify the identical queries.
 #[allow(clippy::too_many_arguments)]
-fn compile_hdc_assoc(
+fn lower_hdc_assoc(
     classes: usize,
     d: usize,
     ngram: usize,
     train_len: usize,
     samples: usize,
     sample_len: usize,
-    job: JobId,
-    tenant: TenantId,
     cfg: &PoolConfig,
     seed: u64,
-    window_base: u64,
-) -> Result<CompiledJob, CompileError> {
+) -> Result<Lowered, CompileError> {
     if classes == 0 || samples == 0 || sample_len == 0 {
         return Err(CompileError::EmptyWorkload);
     }
@@ -1629,8 +1659,7 @@ fn compile_hdc_assoc(
             max: cfg.tile_cols,
         });
     }
-    let mut task = LanguageTask::train(classes, d, ngram, train_len, seed);
-    let raw = task.memory.finalize().to_vec();
+    let (task, raw) = train_hdc(classes, d, ngram, train_len, seed);
     let prototypes: Vec<BitVec> = raw
         .iter()
         .map(|p| BitVec::from_fn(d, |j| p.bits().get(j)))
@@ -1665,11 +1694,7 @@ fn compile_hdc_assoc(
     let mut outputs = Vec::with_capacity(samples * windows.len());
     let mut queries = Vec::with_capacity(samples);
     let mut expected = Vec::with_capacity(samples);
-    let mut sample_rng = seeded(crate::mix_seed(seed, 0x5A17));
-    for i in 0..samples {
-        let class = i % classes;
-        let text = task.languages[class].sample_text(sample_len, &mut sample_rng);
-        let encoded = task.encoder.encode_sequence(&text);
+    for (class, encoded) in hdc_queries(&task, classes, samples, sample_len, seed) {
         let query = BitVec::from_fn(d, |j| encoded.bits().get(j));
         let key = pad(&query);
         for &h in &windows {
@@ -1684,11 +1709,7 @@ fn compile_hdc_assoc(
         queries.push(query);
         expected.push(class);
     }
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::HdcAssoc,
-        dataset: None,
+    Ok(Lowered {
         demand: TileDemand {
             digital: 1,
             analog: 0,
@@ -1701,86 +1722,8 @@ fn compile_hdc_assoc(
             expected,
             windows,
         },
-        placement: digital_placement(window_base, 1, cfg),
         resident_bytes: (2 * classes * cfg.tile_cols.div_ceil(8)) as u64,
-        host_profile: HostProfile {
-            accel_fraction: 0.85,
-            l1_miss: 0.9,
-            l2_miss: 0.9,
-        },
-        seed,
         splittable: false,
-        envelope: CostEnvelope::default(),
-        host: None,
-    })
-}
-
-/// A query job against resident HDC prototypes: one MVM per sample, no
-/// matrix programming.
-#[allow(clippy::too_many_arguments)]
-fn compile_hdc_query(
-    dataset: DatasetId,
-    record: &ResidentView,
-    samples: usize,
-    sample_len: usize,
-    job: JobId,
-    tenant: TenantId,
-    cfg: &PoolConfig,
-    seed: u64,
-) -> Result<CompiledJob, CompileError> {
-    let ResidentPayload::Hdc { task, classes, d } = &record.payload else {
-        return Err(CompileError::DatasetKindMismatch { dataset });
-    };
-    if samples == 0 || sample_len == 0 {
-        return Err(CompileError::EmptyWorkload);
-    }
-    let mut instructions = Vec::with_capacity(samples);
-    let mut outputs = Vec::with_capacity(samples);
-    let mut expected = Vec::with_capacity(samples);
-    let mut sample_rng = seeded(crate::mix_seed(seed, 0x5A17));
-    for i in 0..samples {
-        let class = i % classes;
-        let text = task.languages[class].sample_text(sample_len, &mut sample_rng);
-        let query = task.encoder.encode_sequence(&text);
-        let x: Vec<f64> = (0..cfg.analog_cols)
-            .map(|j| {
-                if j < *d && query.bits().get(j) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        instructions.push(CimInstruction::Mvm { tile: 0, x });
-        outputs.push(instructions.len() - 1);
-        expected.push(class);
-    }
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::HdcQuery,
-        dataset: Some(dataset),
-        demand: TileDemand {
-            digital: 0,
-            analog: 1,
-        },
-        instructions,
-        outputs,
-        finalizer: Finalizer::Hdc {
-            classes: *classes,
-            expected,
-        },
-        placement: None,
-        resident_bytes: record.resident_bytes,
-        host_profile: HostProfile {
-            accel_fraction: 0.85,
-            l1_miss: 0.9,
-            l2_miss: 0.9,
-        },
-        seed,
-        splittable: false,
-        envelope: CostEnvelope::default(),
-        host: None,
     })
 }
 
@@ -1824,18 +1767,57 @@ fn nn_padded_weights(layer: &Matrix, cfg: &PoolConfig) -> Matrix {
     })
 }
 
-/// Emits the per-sample MVM cascade of a binarized network: one MVM per
+/// The [`DatasetSpec::NnWeights`] load program: every layer's ±1
+/// weights programmed into its own analog tile.
+fn load_nn_weights(
+    network: &BinarizedMlp,
+    cfg: &PoolConfig,
+) -> Result<DatasetProgram, CompileError> {
+    nn_geometry(network, cfg)?;
+    let layers = network.layers().len();
+    if layers > cfg.analog_tiles {
+        return Err(CompileError::NeedsMoreAnalogTiles {
+            required: layers,
+            available: cfg.analog_tiles,
+        });
+    }
+    let instructions = network
+        .layers()
+        .iter()
+        .enumerate()
+        .map(|(tile, layer)| CimInstruction::ProgramMatrix {
+            tile,
+            matrix: nn_padded_weights(layer, cfg),
+        })
+        .collect();
+    Ok(DatasetProgram {
+        instructions,
+        demand: TileDemand {
+            digital: 0,
+            analog: layers,
+        },
+        payload: ResidentPayload::Nn {
+            network: Arc::new(network.clone()),
+        },
+        resident_bytes: (network.weight_count() as u64).div_ceil(8),
+    })
+}
+
+/// Inference against resident [`DatasetSpec::NnWeights`]: the MVM
+/// cascade only — not a single weight write in the stream. One MVM per
 /// layer per input, the layer input chained host-side at compile time
 /// via the exact sign activations (the same integers the parity decode
 /// recovers from the array, so the chain and the array agree
-/// bit-for-bit). Records the final layer's MVM as the sample's output.
-fn emit_nn_inference(
-    instructions: &mut Vec<CimInstruction>,
-    outputs: &mut Vec<usize>,
+/// bit-for-bit). Each input's final-layer MVM is its output, decoded
+/// against the final layer's class count and fan-in.
+fn lower_nn_query(
     mlp: &BinarizedMlp,
     inputs: &[BitVec],
     cfg: &PoolConfig,
-) {
+) -> Result<Lowered, CompileError> {
+    nn_inputs_check(mlp, inputs)?;
+    let mut instructions = Vec::with_capacity(inputs.len() * mlp.layers().len());
+    let mut outputs = Vec::with_capacity(inputs.len());
     for x in inputs {
         let acts = mlp.activations(x);
         for (tile, (layer, v)) in mlp.layers().iter().zip(&acts).enumerate() {
@@ -1854,123 +1836,22 @@ fn emit_nn_inference(
         }
         outputs.push(instructions.len() - 1);
     }
-}
-
-/// The NN finalizer for a network: decode against the final layer's
-/// class count and fan-in.
-fn nn_finalizer(mlp: &BinarizedMlp) -> Finalizer {
-    let last = match mlp.layers().last() {
-        Some(layer) => layer,
-        None => unreachable!("binarized networks have at least one layer"),
+    let Some(last) = mlp.layers().last() else {
+        unreachable!("binarized networks have at least one layer")
     };
-    Finalizer::Nn {
-        classes: last.rows(),
-        fan_in: last.cols(),
-    }
-}
-
-/// Cold binarized inference: program every layer's weights into a
-/// fresh analog lease, then run the MVM cascade per input. The weight
-/// writes are re-paid on every submission — exactly what
-/// [`DatasetSpec::NnWeights`] + [`WorkloadSpec::NnQuery`] amortize
-/// away.
-fn compile_nn_infer(
-    mlp: &BinarizedMlp,
-    inputs: &[BitVec],
-    job: JobId,
-    tenant: TenantId,
-    cfg: &PoolConfig,
-    seed: u64,
-) -> Result<CompiledJob, CompileError> {
-    nn_geometry(mlp, cfg)?;
-    nn_inputs_check(mlp, inputs)?;
-    let layers = mlp.layers().len();
-    if layers > cfg.analog_tiles {
-        return Err(CompileError::NeedsMoreAnalogTiles {
-            required: layers,
-            available: cfg.analog_tiles,
-        });
-    }
-    let mut instructions: Vec<CimInstruction> = mlp
-        .layers()
-        .iter()
-        .enumerate()
-        .map(|(tile, layer)| CimInstruction::ProgramMatrix {
-            tile,
-            matrix: nn_padded_weights(layer, cfg),
-        })
-        .collect();
-    let mut outputs = Vec::with_capacity(inputs.len());
-    emit_nn_inference(&mut instructions, &mut outputs, mlp, inputs, cfg);
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::NnInfer,
-        dataset: None,
+    Ok(Lowered {
         demand: TileDemand {
             digital: 0,
-            analog: layers,
+            analog: mlp.layers().len(),
         },
         instructions,
         outputs,
-        finalizer: nn_finalizer(mlp),
-        placement: None,
-        resident_bytes: (mlp.weight_count() as u64).div_ceil(8),
-        host_profile: HostProfile {
-            accel_fraction: 0.9,
-            l1_miss: 0.9,
-            l2_miss: 0.9,
+        finalizer: Finalizer::Nn {
+            classes: last.rows(),
+            fan_in: last.cols(),
         },
-        seed,
+        resident_bytes: 0,
         splittable: false,
-        envelope: CostEnvelope::default(),
-        host: None,
-    })
-}
-
-/// Inference against resident [`DatasetSpec::NnWeights`]: the MVM
-/// cascade only, lowered onto the dataset's pinned analog tiles — not
-/// a single weight write in the stream.
-#[allow(clippy::too_many_arguments)]
-fn compile_nn_query(
-    dataset: DatasetId,
-    record: &ResidentView,
-    inputs: &[BitVec],
-    job: JobId,
-    tenant: TenantId,
-    cfg: &PoolConfig,
-    seed: u64,
-) -> Result<CompiledJob, CompileError> {
-    let ResidentPayload::Nn { network } = &record.payload else {
-        return Err(CompileError::DatasetKindMismatch { dataset });
-    };
-    nn_inputs_check(network, inputs)?;
-    let mut instructions = Vec::with_capacity(inputs.len() * network.layers().len());
-    let mut outputs = Vec::with_capacity(inputs.len());
-    emit_nn_inference(&mut instructions, &mut outputs, network, inputs, cfg);
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::NnQuery,
-        dataset: Some(dataset),
-        demand: TileDemand {
-            digital: 0,
-            analog: network.layers().len(),
-        },
-        instructions,
-        outputs,
-        finalizer: nn_finalizer(network),
-        placement: None,
-        resident_bytes: record.resident_bytes,
-        host_profile: HostProfile {
-            accel_fraction: 0.9,
-            l1_miss: 0.9,
-            l2_miss: 0.9,
-        },
-        seed,
-        splittable: false,
-        envelope: CostEnvelope::default(),
-        host: None,
     })
 }
 
@@ -1982,16 +1863,11 @@ fn compile_nn_query(
 /// arithmetic itself (integral images, the guided filter's linear
 /// model) is host-side float work in the finalizer, bit-identical to
 /// running `cim-imgproc` on [`GrayImage::quantized`]`(8)` directly.
-#[allow(clippy::too_many_arguments)]
-fn compile_img(
+fn lower_img(
     image: &GrayImage,
     filter: ImgFilterOp,
-    job: JobId,
-    tenant: TenantId,
     cfg: &PoolConfig,
-    seed: u64,
-    window_base: u64,
-) -> Result<CompiledJob, CompileError> {
+) -> Result<Lowered, CompileError> {
     let (w, h) = (image.width(), image.height());
     let row_bits = 8 * w;
     if row_bits > cfg.tile_cols {
@@ -2040,11 +1916,7 @@ fn compile_img(
         }
     }
 
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::ImgFilter,
-        dataset: None,
+    Ok(Lowered {
         demand: TileDemand {
             digital: tiles,
             analog: 0,
@@ -2057,17 +1929,8 @@ fn compile_img(
             filter,
             reads,
         },
-        placement: digital_placement(window_base, tiles, cfg),
         resident_bytes: (h * cfg.tile_cols.div_ceil(8)) as u64,
-        host_profile: HostProfile {
-            accel_fraction: 0.8,
-            l1_miss: 1.0,
-            l2_miss: 1.0,
-        },
-        seed,
         splittable: false,
-        envelope: CostEnvelope::default(),
-        host: None,
     })
 }
 
@@ -2160,91 +2023,45 @@ pub(crate) fn compile_dataset_load(
     cfg: &PoolConfig,
     seed: u64,
 ) -> Result<DatasetProgram, CompileError> {
+    // A load that can never fit is a sizing error, not admission
+    // pressure: report it as such at plan time instead of a generic
+    // capacity failure. Digital loads split across shards, so anything
+    // up to the pool-wide tile count is loadable; analog pins (weight
+    // matrices, prototype tiles) must still fit one shard.
     let too_large = |digital: usize, analog: usize| CompileError::DatasetTooLarge {
         needed: TileDemand { digital, analog },
         pool_capacity: TileDemand {
-            // Digital loads split across shards; analog pins (weight
-            // matrices, prototype tiles) must still fit one shard.
             digital: cfg.digital_tiles * cfg.shards,
             analog: cfg.analog_tiles,
         },
     };
+    lower_dataset_load(spec, cfg, seed).map_err(|e| match e {
+        CompileError::NeedsMoreDigitalTiles { required, .. } => too_large(required, 0),
+        CompileError::NeedsMoreAnalogTiles { required, .. } => too_large(0, required),
+        other => other,
+    })
+}
+
+/// Dispatches a [`DatasetSpec`] to its load lowering. The Q6, HDC and
+/// NN loads are shared with their cold job twins, which report tile
+/// shortfalls as [`CompileError::NeedsMoreDigitalTiles`] /
+/// [`CompileError::NeedsMoreAnalogTiles`]; [`compile_dataset_load`]
+/// maps those at the dataset edge.
+fn lower_dataset_load(
+    spec: &DatasetSpec,
+    cfg: &PoolConfig,
+    seed: u64,
+) -> Result<DatasetProgram, CompileError> {
     match spec {
         DatasetSpec::Q6Table { rows, table_seed } => {
-            // A load that outgrows the whole pool is a sizing error,
-            // not admission pressure: report it as such at plan time
-            // instead of a generic capacity failure. Anything up to the
-            // pool-wide tile count is loadable — split across shards if
-            // no single shard can pin it.
-            let tiles = q6_footprint(*rows, cfg).map_err(|e| match e {
-                CompileError::NeedsMoreDigitalTiles { required, .. } => too_large(required, 0),
-                other => other,
-            })?;
-            let table = LineItemTable::generate(*rows, *table_seed);
-            let idx = Q6Indexes::build(&table);
-            let mut instructions = Vec::new();
-            let mut widths = Vec::with_capacity(tiles);
-            let mut start = 0;
-            for t in 0..tiles {
-                let width = cfg.tile_cols.min(*rows - start);
-                widths.push(width);
-                emit_q6_bin_writes(&mut instructions, &idx, t, start, width, cfg);
-                start += width;
-            }
-            Ok(DatasetProgram {
-                instructions,
-                demand: TileDemand {
-                    digital: tiles,
-                    analog: 0,
-                },
-                payload: ResidentPayload::Q6 {
-                    table: Arc::new(table),
-                    widths,
-                },
-                resident_bytes: q6_resident_bytes(tiles, cfg),
-            })
+            load_q6_table(*rows, *table_seed, cfg, |_, _| {})
         }
         DatasetSpec::HdcPrototypes {
             classes,
             d,
             ngram,
             train_len,
-        } => {
-            if *classes == 0 {
-                return Err(CompileError::EmptyWorkload);
-            }
-            if *classes > cfg.analog_rows || *d > cfg.analog_cols {
-                return Err(CompileError::AnalogShapeTooSmall {
-                    required: (*classes, *d),
-                    available: (cfg.analog_rows, cfg.analog_cols),
-                });
-            }
-            let mut task = LanguageTask::train(*classes, *d, *ngram, *train_len, seed);
-            let prototypes = task.memory.finalize().to_vec();
-            let weights = Matrix::from_fn(cfg.analog_rows, cfg.analog_cols, |r, c| {
-                if r < *classes && c < *d && prototypes[r].bits().get(c) {
-                    1.0
-                } else {
-                    0.0
-                }
-            });
-            Ok(DatasetProgram {
-                instructions: vec![CimInstruction::ProgramMatrix {
-                    tile: 0,
-                    matrix: weights,
-                }],
-                demand: TileDemand {
-                    digital: 0,
-                    analog: 1,
-                },
-                payload: ResidentPayload::Hdc {
-                    task: Arc::new(task),
-                    classes: *classes,
-                    d: *d,
-                },
-                resident_bytes: (*classes * *d) as u64 / 8,
-            })
-        }
+        } => load_hdc_prototypes(*classes, *d, *ngram, *train_len, cfg, seed),
         DatasetSpec::CamRules {
             rules,
             width,
@@ -2255,10 +2072,7 @@ pub(crate) fn compile_dataset_load(
             if *rules == 0 {
                 return Err(CompileError::EmptyWorkload);
             }
-            let tiles = cam_entry_tiles(*rules, cfg).map_err(|e| match e {
-                CompileError::NeedsMoreDigitalTiles { required, .. } => too_large(required, 0),
-                other => other,
-            })?;
+            let tiles = cam_entry_tiles(*rules, cfg)?;
             let set = RuleSet::generate(*rules, *width, *wildcard_density, *table_seed);
             let (instructions, entries) = emit_cam_entry_writes(
                 set.rules()
@@ -2286,10 +2100,7 @@ pub(crate) fn compile_dataset_load(
             if keys.is_empty() {
                 return Err(CompileError::EmptyWorkload);
             }
-            let tiles = cam_entry_tiles(keys.len(), cfg).map_err(|e| match e {
-                CompileError::NeedsMoreDigitalTiles { required, .. } => too_large(required, 0),
-                other => other,
-            })?;
+            let tiles = cam_entry_tiles(keys.len(), cfg)?;
             let care = BitVec::ones(*width);
             let (instructions, entries) = emit_cam_entry_writes(
                 keys.iter().map(|&k| (key_bits(k, *width), care.clone())),
@@ -2311,132 +2122,11 @@ pub(crate) fn compile_dataset_load(
                 resident_bytes: cam_resident_bytes(keys.len(), cfg),
             })
         }
-        DatasetSpec::NnWeights { network } => {
-            nn_geometry(network, cfg)?;
-            let layers = network.layers().len();
-            if layers > cfg.analog_tiles {
-                return Err(too_large(0, layers));
-            }
-            let instructions = network
-                .layers()
-                .iter()
-                .enumerate()
-                .map(|(tile, layer)| CimInstruction::ProgramMatrix {
-                    tile,
-                    matrix: nn_padded_weights(layer, cfg),
-                })
-                .collect();
-            Ok(DatasetProgram {
-                instructions,
-                demand: TileDemand {
-                    digital: 0,
-                    analog: layers,
-                },
-                payload: ResidentPayload::Nn {
-                    network: Arc::new(network.clone()),
-                },
-                resident_bytes: (network.weight_count() as u64).div_ceil(8),
-            })
-        }
+        DatasetSpec::NnWeights { network } => load_nn_weights(network, cfg),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn compile_hdc(
-    classes: usize,
-    d: usize,
-    ngram: usize,
-    train_len: usize,
-    samples: usize,
-    sample_len: usize,
-    job: JobId,
-    tenant: TenantId,
-    cfg: &PoolConfig,
-    seed: u64,
-) -> Result<CompiledJob, CompileError> {
-    if classes == 0 || samples == 0 || sample_len == 0 {
-        return Err(CompileError::EmptyWorkload);
-    }
-    if classes > cfg.analog_rows || d > cfg.analog_cols {
-        return Err(CompileError::AnalogShapeTooSmall {
-            required: (classes, d),
-            available: (cfg.analog_rows, cfg.analog_cols),
-        });
-    }
-
-    // Train on the host (one-shot prototype construction is setup work,
-    // exactly as `LanguageTask` does); classification itself — one MVM
-    // per query — is what runs in the array.
-    let mut task = LanguageTask::train(classes, d, ngram, train_len, seed);
-    let prototypes = task.memory.finalize().to_vec();
-    let weights = Matrix::from_fn(cfg.analog_rows, cfg.analog_cols, |r, c| {
-        if r < classes && c < d && prototypes[r].bits().get(c) {
-            1.0
-        } else {
-            0.0
-        }
-    });
-
-    let mut instructions = vec![CimInstruction::ProgramMatrix {
-        tile: 0,
-        matrix: weights,
-    }];
-    let mut outputs = Vec::with_capacity(samples);
-    let mut expected = Vec::with_capacity(samples);
-    let mut sample_rng = seeded(crate::mix_seed(seed, 0x5A17));
-    for i in 0..samples {
-        let class = i % classes;
-        let text = task.languages[class].sample_text(sample_len, &mut sample_rng);
-        let query = task.encoder.encode_sequence(&text);
-        let x: Vec<f64> = (0..cfg.analog_cols)
-            .map(|j| {
-                if j < d && query.bits().get(j) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        instructions.push(CimInstruction::Mvm { tile: 0, x });
-        outputs.push(instructions.len() - 1);
-        expected.push(class);
-    }
-
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::HdcClassify,
-        dataset: None,
-        demand: TileDemand {
-            digital: 0,
-            analog: 1,
-        },
-        instructions,
-        outputs,
-        finalizer: Finalizer::Hdc { classes, expected },
-        placement: None,
-        resident_bytes: (classes * d) as u64 / 8,
-        host_profile: HostProfile {
-            accel_fraction: 0.85,
-            l1_miss: 0.9,
-            l2_miss: 0.9,
-        },
-        seed,
-        splittable: false,
-        envelope: CostEnvelope::default(),
-        host: None,
-    })
-}
-
-fn compile_xor(
-    message: &[u8],
-    key_seed: u64,
-    job: JobId,
-    tenant: TenantId,
-    cfg: &PoolConfig,
-    seed: u64,
-    window_base: u64,
-) -> Result<CompiledJob, CompileError> {
+fn lower_xor(message: &[u8], key_seed: u64, cfg: &PoolConfig) -> Result<Lowered, CompileError> {
     if message.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
@@ -2477,11 +2167,7 @@ fn compile_xor(
         outputs.push(instructions.len() - 1);
     }
 
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::XorEncrypt,
-        dataset: None,
+    Ok(Lowered {
         demand: TileDemand {
             digital: 1,
             analog: 0,
@@ -2489,30 +2175,12 @@ fn compile_xor(
         instructions,
         outputs,
         finalizer: Finalizer::Xor { len: message.len() },
-        placement: digital_placement(window_base, 1, cfg),
         resident_bytes: 2 * cfg.tile_cols.div_ceil(8) as u64,
-        host_profile: HostProfile {
-            accel_fraction: 0.95,
-            l1_miss: 1.0,
-            l2_miss: 1.0,
-        },
-        seed,
         splittable: false,
-        envelope: CostEnvelope::default(),
-        host: None,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn compile_scout(
-    op: ScoutOp,
-    rows: &[BitVec],
-    job: JobId,
-    tenant: TenantId,
-    cfg: &PoolConfig,
-    seed: u64,
-    window_base: u64,
-) -> Result<CompiledJob, CompileError> {
+fn lower_scout(op: ScoutOp, rows: &[BitVec], cfg: &PoolConfig) -> Result<Lowered, CompileError> {
     if rows.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
@@ -2598,11 +2266,7 @@ fn compile_scout(
         outputs.push(last_logic);
     }
 
-    Ok(CompiledJob {
-        job,
-        tenant,
-        kind: JobKind::ScoutBulk,
-        dataset: None,
+    Ok(Lowered {
         demand: TileDemand {
             digital: tiles,
             analog: 0,
@@ -2610,17 +2274,8 @@ fn compile_scout(
         instructions,
         outputs,
         finalizer: Finalizer::Bits { width, op },
-        placement: digital_placement(window_base, tiles, cfg),
         resident_bytes: (rows.len() * cfg.tile_cols.div_ceil(8)) as u64,
-        host_profile: HostProfile {
-            accel_fraction: 0.9,
-            l1_miss: 1.0,
-            l2_miss: 1.0,
-        },
-        seed,
         splittable: true,
-        envelope: CostEnvelope::default(),
-        host: None,
     })
 }
 
@@ -2726,15 +2381,11 @@ pub(crate) fn split_by_digital_tile(
             placement,
             resident_bytes: parent.resident_bytes * chunk as u64
                 / parent.demand.digital.max(1) as u64,
-            host_profile: parent.host_profile,
             // Sub-streams are digital (exact): distinct noise seeds per
             // part cannot change results, only keep streams private.
             seed: crate::mix_seed(parent.seed, 0x5EED ^ part as u64),
             splittable: false,
             envelope,
-            // A part is always CIM work: the planner routes whole jobs
-            // to the host before any split happens.
-            host: None,
         });
         base += chunk;
     }
@@ -2971,6 +2622,30 @@ mod tests {
             compile(&spec, JobId(0), TenantId(0), &cfg(), 0, 0, None),
             Err(CompileError::AnalogShapeTooSmall { .. })
         ));
+        // Empty work is reported before the shape.
+        let empty = WorkloadSpec::HdcClassify {
+            classes: 4,
+            d: cfg().analog_cols + 1,
+            ngram: 3,
+            train_len: 400,
+            samples: 0,
+            sample_len: 10,
+        };
+        assert!(matches!(
+            compile(&empty, JobId(0), TenantId(0), &cfg(), 0, 0, None),
+            Err(CompileError::EmptyWorkload)
+        ));
+        // The resident twin rejects the same shape.
+        let prototypes = DatasetSpec::HdcPrototypes {
+            classes: 4,
+            d: cfg().analog_cols + 1,
+            ngram: 3,
+            train_len: 400,
+        };
+        assert!(matches!(
+            compile_dataset_load(&prototypes, &cfg(), 0),
+            Err(CompileError::AnalogShapeTooSmall { .. })
+        ));
     }
 
     #[test]
@@ -3120,6 +2795,142 @@ mod tests {
             compile(&spec, JobId(0), TenantId(0), &cfg(), 0, 0, None),
             Err(CompileError::AnalogShapeTooSmall { .. })
         ));
+        // More layers than a shard's analog tiles: a cold job needs more
+        // tiles, while the resident twin is a dataset that can never fit.
+        let deep = BinarizedMlp::random(&[8, 8, 8, 4], 1);
+        let cold = WorkloadSpec::NnInfer {
+            network: deep.clone(),
+            inputs: vec![BitVec::zeros(8)],
+        };
+        assert_eq!(
+            compile(&cold, JobId(0), TenantId(0), &cfg(), 0, 0, None).err(),
+            Some(CompileError::NeedsMoreAnalogTiles {
+                required: 3,
+                available: cfg().analog_tiles,
+            })
+        );
+        assert!(matches!(
+            compile_dataset_load(&DatasetSpec::NnWeights { network: deep }, &cfg(), 0),
+            Err(CompileError::DatasetTooLarge { .. })
+        ));
+    }
+
+    /// Cold jobs lower through their dataset twin: for one seed, a cold
+    /// HDC or NN stream is the twin's load program followed by the twin
+    /// query's stream, and a cold Q6 select carries, tile by tile, the
+    /// table's bin writes followed by the query's reductions. The
+    /// finalizers agree.
+    #[test]
+    fn cold_jobs_are_their_dataset_twin_load_plus_query() {
+        let c = cfg();
+        let seed = 11;
+        let lower = |load: &DatasetSpec, query: &WorkloadSpec, cold: &WorkloadSpec| {
+            let program = compile_dataset_load(load, &c, seed).unwrap();
+            let view = ResidentView {
+                payload: program.payload.clone(),
+                digital_tiles: program.demand.digital,
+                placement: None,
+                resident_bytes: program.resident_bytes,
+            };
+            let query = compile(query, JobId(1), TenantId(1), &c, seed, 0, Some(&view)).unwrap();
+            let cold = compile(cold, JobId(2), TenantId(1), &c, seed, 0, None).unwrap();
+            assert_eq!(
+                format!("{:?}", cold.finalizer),
+                format!("{:?}", query.finalizer)
+            );
+            assert_eq!(cold.demand, program.demand);
+            assert_eq!(cold.resident_bytes, program.resident_bytes);
+            (program.instructions, query, cold)
+        };
+        let mlp = BinarizedMlp::random(&[8, 6, 3], 5);
+        let inputs: Vec<BitVec> = (0..4)
+            .map(|i| BitVec::from_fn(8, |j| (i + j) % 2 == 0))
+            .collect();
+        for (load, query, cold) in [
+            (
+                DatasetSpec::HdcPrototypes {
+                    classes: 4,
+                    d: 512,
+                    ngram: 3,
+                    train_len: 400,
+                },
+                WorkloadSpec::HdcQuery {
+                    dataset: DatasetId(0),
+                    samples: 6,
+                    sample_len: 50,
+                },
+                WorkloadSpec::HdcClassify {
+                    classes: 4,
+                    d: 512,
+                    ngram: 3,
+                    train_len: 400,
+                    samples: 6,
+                    sample_len: 50,
+                },
+            ),
+            (
+                DatasetSpec::NnWeights {
+                    network: mlp.clone(),
+                },
+                WorkloadSpec::NnQuery {
+                    dataset: DatasetId(0),
+                    inputs: inputs.clone(),
+                },
+                WorkloadSpec::NnInfer {
+                    network: mlp,
+                    inputs,
+                },
+            ),
+        ] {
+            let (load, query, cold) = lower(&load, &query, &cold);
+            let stream: Vec<CimInstruction> =
+                load.iter().chain(&query.instructions).cloned().collect();
+            assert_eq!(cold.instructions, stream, "{:?}", cold.kind);
+            let outputs: Vec<usize> = query.outputs.iter().map(|o| o + load.len()).collect();
+            assert_eq!(cold.outputs, outputs, "{:?}", cold.kind);
+        }
+
+        let (load, query, cold) = lower(
+            &DatasetSpec::Q6Table {
+                rows: 3 * c.tile_cols - 100,
+                table_seed: 4,
+            },
+            &WorkloadSpec::Q6Query {
+                dataset: DatasetId(0),
+                params: Q6Params::tpch_default(),
+            },
+            &WorkloadSpec::Q6Select {
+                rows: 3 * c.tile_cols - 100,
+                table_seed: 4,
+                params: Q6Params::tpch_default(),
+            },
+        );
+        assert_eq!(cold.demand.digital, 3);
+        let on_tile = |stream: &[CimInstruction], t: usize| -> Vec<CimInstruction> {
+            stream
+                .iter()
+                .filter(|i| digital_tile_of(i) == Some(t))
+                .cloned()
+                .collect()
+        };
+        let mut tile_major = Vec::new();
+        for t in 0..cold.demand.digital {
+            let mut expected = on_tile(&load, t);
+            expected.extend(on_tile(&query.instructions, t));
+            assert_eq!(on_tile(&cold.instructions, t), expected, "tile {t}");
+            tile_major.extend(expected);
+        }
+        assert_eq!(
+            cold.instructions, tile_major,
+            "tile t's writes, then its reductions"
+        );
+        let picked = |job: &CompiledJob| -> Vec<CimInstruction> {
+            job.outputs
+                .iter()
+                .map(|&i| job.instructions[i].clone())
+                .collect()
+        };
+        assert_eq!(picked(&cold), picked(&query));
     }
 
     #[test]
@@ -3256,6 +3067,36 @@ mod tests {
             WorkloadSpec::ScoutBulk {
                 op: ScoutOp::Or,
                 rows: vec![],
+            },
+            WorkloadSpec::HdcClassify {
+                classes: 0,
+                d: 512,
+                ngram: 3,
+                train_len: 400,
+                samples: 2,
+                sample_len: 10,
+            },
+            // Empty work is reported before the prototype shape.
+            WorkloadSpec::HdcClassify {
+                classes: 4,
+                d: cfg().analog_cols + 1,
+                ngram: 3,
+                train_len: 400,
+                samples: 2,
+                sample_len: 0,
+            },
+            WorkloadSpec::HdcAssoc {
+                classes: 4,
+                d: 64,
+                ngram: 3,
+                train_len: 40,
+                samples: 0,
+                sample_len: 10,
+            },
+            // Empty inputs are reported before the layer count.
+            WorkloadSpec::NnInfer {
+                network: BinarizedMlp::random(&[8, 8, 8, 4], 1),
+                inputs: vec![],
             },
         ] {
             assert!(

@@ -6,6 +6,7 @@
 //! decoded [`JobOutput`], per-job [`ExecutionStats`] and the
 //! speedup-vs-host estimate from the `cim-arch` analytical models.
 
+use crate::compile::HostProfile;
 use cim_bitmap_db::query::Q6Result;
 use cim_bitmap_db::tpch::Q6Params;
 use cim_core::isa::{CimInstruction, CimResponse, MatchKind};
@@ -354,6 +355,29 @@ impl JobKind {
             JobKind::ImgFilter => "img-filter",
         }
     }
+
+    /// The host-side cache/offload profile of this workload family, fed
+    /// to the `cim-arch` host-vs-CIM estimate.
+    pub fn host_profile(&self) -> HostProfile {
+        let (accel_fraction, l1_miss, l2_miss) = match self {
+            JobKind::Raw => (0.5, 0.5, 0.5),
+            JobKind::Q6Select
+            | JobKind::Q6Query
+            | JobKind::ScoutBulk
+            | JobKind::CamSearch
+            | JobKind::RuleClassify
+            | JobKind::KeyLookup => (0.9, 1.0, 1.0),
+            JobKind::HdcClassify | JobKind::HdcQuery | JobKind::HdcAssoc => (0.85, 0.9, 0.9),
+            JobKind::NnInfer | JobKind::NnQuery => (0.9, 0.9, 0.9),
+            JobKind::ImgFilter => (0.8, 1.0, 1.0),
+            JobKind::XorEncrypt => (0.95, 1.0, 1.0),
+        };
+        HostProfile {
+            accel_fraction,
+            l1_miss,
+            l2_miss,
+        }
+    }
 }
 
 impl WorkloadSpec {
@@ -616,7 +640,7 @@ pub enum JobRoute {
     Cim,
     /// The offload planner kept the job on the host: its envelope lost
     /// to the host-fallback cost (or the policy forced the host lane),
-    /// and the precomputed bit-identical host result was served without
+    /// and the bit-identical host result was computed and served without
     /// touching a shard — `shards` is empty and no batch id is
     /// consumed.
     Host,

@@ -31,7 +31,9 @@
 //!   ([`cim_core::AddressMap`]). With this layer every application
 //!   crate in the workspace serves through the runtime: MVM-heavy
 //!   kernels (NN, HDC) over analog tiles, row-access-heavy kernels
-//!   (Q6, image neighbourhoods) over digital tiles.
+//!   (Q6, image neighbourhoods) over digital tiles. Each workload has
+//!   one lowering: a cold job with a resident twin (`HdcClassify`,
+//!   `NnInfer`, `Q6Select`) is that twin's load program plus its query.
 //! * **[`schedule`]** — a job queue with deterministic shard selection,
 //!   per-tile admission over free (un-pinned) tiles, cost-aware batch
 //!   coalescing, and one worker thread per shard (std threads +

@@ -41,10 +41,10 @@
 
 use crate::client::PoolClient;
 use crate::compile::{
-    compile, compile_dataset_load, split_by_digital_tile, split_load_by_tile, CompileError,
-    CompiledJob, DatasetProgram, Finalizer,
+    compile, compile_dataset_load, host_reference, split_by_digital_tile, split_load_by_tile,
+    CompileError, CompiledJob, DatasetProgram, Finalizer,
 };
-use crate::dataset::{DatasetRecord, DatasetSpec, LoadProgress, ShardPlacement};
+use crate::dataset::{DatasetRecord, DatasetSpec, LoadProgress, ResidentView, ShardPlacement};
 use crate::job::{
     DatasetId, JobError, JobId, JobKind, JobOutput, JobReport, JobRoute, JobStatus, JobTiming,
     TenantId, WorkloadSpec,
@@ -75,7 +75,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OffloadPolicy {
     /// Every job runs on the CIM pool (the pre-planner behaviour, and
-    /// the default). No host references are precomputed.
+    /// the default). No host reference is ever computed.
     AlwaysCim,
     /// Every job with a certified bit-identical host path runs on the
     /// host lane; jobs without one (raw streams, analog-score HDC)
@@ -143,10 +143,10 @@ pub struct PoolConfig {
     /// analog non-idealities.
     pub analog_params: AnalogParams,
     /// The admission planner's host-offload policy. Under anything but
-    /// [`OffloadPolicy::AlwaysCim`], compilation precomputes host
-    /// references for eligible kinds and the planner may serve a job
-    /// from the host lane (reported with [`crate::JobRoute::Host`],
-    /// empty `shards`, bit-identical output).
+    /// [`OffloadPolicy::AlwaysCim`], the planner may serve a job of an
+    /// eligible kind from the host lane, computing its host reference
+    /// only then (reported with [`crate::JobRoute::Host`], empty
+    /// `shards`, bit-identical output).
     pub offload_policy: OffloadPolicy,
     /// Submit-side backpressure budget: the summed
     /// [`cim_lint::CostEnvelope::cost_units`] of CIM-routed jobs
@@ -317,20 +317,12 @@ enum Completion {
     },
 }
 
-/// Lifecycle of one submitted job, pool-side. `claimed` records whether
-/// a live [`crate::JobHandle`] owns the slot (legacy `drain` only
-/// returns unclaimed reports).
+/// Lifecycle of one submitted job, pool-side; its [`crate::JobHandle`]
+/// takes the report out of the `Done` slot.
 enum Slot {
-    Queued {
-        claimed: bool,
-    },
-    Dispatched {
-        claimed: bool,
-    },
-    Done {
-        claimed: bool,
-        report: Box<JobReport>,
-    },
+    Queued,
+    Dispatched,
+    Done(Box<JobReport>),
     /// The handle was dropped before completion; the report is
     /// discarded (after telemetry) when it arrives.
     Abandoned,
@@ -417,11 +409,8 @@ impl std::fmt::Debug for PoolState {
     }
 }
 
-/// The multi-tenant accelerator pool.
-///
-/// Sessions are opened with [`RuntimePool::client`]; the legacy
-/// [`RuntimePool::submit`] / [`RuntimePool::drain`] pair survives as a
-/// deprecated shim over the same machinery.
+/// The multi-tenant accelerator pool. Work is submitted through
+/// per-tenant sessions opened with [`RuntimePool::client`].
 pub struct RuntimePool {
     shared: Arc<PoolShared>,
     joins: Vec<JoinHandle<()>>,
@@ -538,43 +527,16 @@ impl RuntimePool {
     }
 
     /// Dispatches every queued job to the shards without waiting for
-    /// results (the non-blocking half of the legacy `drain`).
+    /// results.
     pub fn flush(&self) {
         self.shared.flush();
     }
 
-    /// Compiles and enqueues a workload for `tenant`.
-    ///
-    /// Compilation errors (workload does not fit the pool geometry,
-    /// empty work) surface immediately; execution errors surface in the
-    /// job's report.
-    #[deprecated(
-        note = "open a session with `RuntimePool::client` and use `PoolClient::submit`, \
-                which returns a non-blocking `JobHandle`"
-    )]
-    pub fn submit(&mut self, tenant: TenantId, spec: &WorkloadSpec) -> Result<JobId, CompileError> {
-        self.shared.submit_spec(tenant, spec, false)
-    }
-
-    /// Executes every queued job with batching per the pool policy,
-    /// shards running concurrently, and blocks for all of their
-    /// reports. Returns reports sorted by job id. Jobs owned by a live
-    /// [`crate::JobHandle`] are executed too but their reports stay
-    /// claimable through the handle.
-    #[deprecated(
-        note = "use `PoolClient::submit` + `JobHandle::wait` (or `PoolClient::wait_all`) \
-                for per-job completion instead of a pool-wide blocking drain"
-    )]
-    pub fn drain(&mut self) -> Vec<JobReport> {
-        self.shared.drain_unclaimed()
-    }
-
     /// Executes every queued job strictly one at a time, in submission
     /// order, with no coalescing — the reference schedule batching must
-    /// reproduce bit-identically. Returns the reports of jobs not
-    /// claimed by a [`crate::JobHandle`], sorted by job id (reports of
-    /// handle-claimed jobs remain claimable through their handles).
-    pub fn drain_sequential(&mut self) -> Vec<JobReport> {
+    /// reproduce bit-identically. Blocks until every job has completed;
+    /// callers take the reports through the jobs' handles.
+    pub fn drain_sequential(&mut self) {
         let mut batches = {
             let mut st = lock(&self.shared.state);
             let mut batches = plan(&mut st, &self.shared.cfg, false, 1, &self.shared.tracer);
@@ -610,11 +572,10 @@ impl RuntimePool {
             self.shared.pump_until(|st| {
                 !matches!(
                     st.slots.get(&job.0),
-                    Some(Slot::Queued { .. }) | Some(Slot::Dispatched { .. })
+                    Some(Slot::Queued) | Some(Slot::Dispatched)
                 )
             });
         }
-        self.shared.take_unclaimed_done()
     }
 }
 
@@ -630,15 +591,13 @@ impl Drop for RuntimePool {
 }
 
 impl PoolShared {
-    /// Compiles and enqueues a workload; `claimed` records whether a
-    /// [`crate::JobHandle`] owns the resulting slot.
+    /// Compiles and enqueues a workload.
     pub(crate) fn submit_spec(
         &self,
         tenant: TenantId,
         spec: &WorkloadSpec,
-        claimed: bool,
     ) -> Result<JobId, CompileError> {
-        self.submit_spec_inner(tenant, spec, claimed, true)
+        self.submit_spec_inner(tenant, spec, true)
     }
 
     /// Test seam: submits with the static verifier bypassed, so the
@@ -650,16 +609,14 @@ impl PoolShared {
         &self,
         tenant: TenantId,
         spec: &WorkloadSpec,
-        claimed: bool,
     ) -> Result<JobId, CompileError> {
-        self.submit_spec_inner(tenant, spec, claimed, false)
+        self.submit_spec_inner(tenant, spec, false)
     }
 
     fn submit_spec_inner(
         &self,
         tenant: TenantId,
         spec: &WorkloadSpec,
-        claimed: bool,
         verify: bool,
     ) -> Result<JobId, CompileError> {
         // Phase 1 (locked): assign the id and snapshot the queried
@@ -673,23 +630,7 @@ impl PoolShared {
             let job = JobId(st.next_job);
             st.next_job += 1;
             let seed = mix_seed(self.cfg.seed, 0x0B0B ^ job.0);
-            let resident = match spec.dataset() {
-                Some(id) => {
-                    let record = st
-                        .datasets
-                        .get(&id.0)
-                        .filter(|r| !r.released)
-                        .ok_or(CompileError::UnknownDataset { dataset: id })?;
-                    if record.tenant != tenant {
-                        return Err(CompileError::DatasetAccessDenied {
-                            dataset: id,
-                            owner: record.tenant,
-                        });
-                    }
-                    Some(record.view())
-                }
-                None => None,
-            };
+            let resident = resolve_dataset(&st, tenant, spec)?;
             (job, seed, resident)
         };
         // The job's root span: every later stage (compile, queue,
@@ -751,7 +692,6 @@ impl PoolShared {
                     job,
                     tenant,
                     spec,
-                    claimed,
                     root,
                     JobError::WorkloadTooLarge {
                         digital_required: required,
@@ -769,7 +709,6 @@ impl PoolShared {
                     job,
                     tenant,
                     spec,
-                    claimed,
                     root,
                     JobError::WorkloadTooLarge {
                         digital_required: 0,
@@ -796,7 +735,7 @@ impl PoolShared {
                 };
                 let mut st = lock(&self.state);
                 let st = &mut *st;
-                st.slots.insert(job.0, Slot::Queued { claimed });
+                st.slots.insert(job.0, Slot::Queued);
                 open_queue_lifecycle(st, &self.tracer, job, root);
                 fail_at_dispatch(st, &self.tracer, compiled, 0, error);
                 return Ok(job);
@@ -805,25 +744,26 @@ impl PoolShared {
 
         // Admission planning (TDO-CIM §offload decision): a job with a
         // certified bit-identical host reference may be served from the
-        // host-executor lane instead of the pool. `AlwaysHost` forces
-        // every eligible job there; `CostDriven` offloads only when the
-        // analytical host delay beats the envelope's CIM latency bound
-        // by the configured margin. Ineligible jobs (raw streams,
-        // analog-score HDC) always run on the pool.
-        let host_route = match self.cfg.offload_policy {
+        // host-executor lane instead of the pool. `AlwaysHost` picks
+        // that lane for every job; `CostDriven` only when the analytical
+        // host delay beats the envelope's CIM latency bound by the
+        // configured margin. The host reference is computed only once
+        // the lane is picked; ineligible jobs (raw streams, analog-score
+        // HDC) have none and run on the pool.
+        let host_lane = match self.cfg.offload_policy {
             OffloadPolicy::AlwaysCim => false,
-            OffloadPolicy::AlwaysHost => compiled.host.is_some(),
+            OffloadPolicy::AlwaysHost => true,
             OffloadPolicy::CostDriven { threshold } => {
-                compiled.host.is_some() && {
-                    let host = ConventionalMachine::xeon_e5_2680();
-                    let cim_system = CimSystem::paper_default();
-                    let est = offload_estimate(&compiled, &host, &cim_system);
-                    est.conventional_delay.0 <= threshold * compiled.envelope.latency_bound.0
-                }
+                let host = ConventionalMachine::xeon_e5_2680();
+                let cim_system = CimSystem::paper_default();
+                let est = offload_estimate(&compiled, &host, &cim_system);
+                est.conventional_delay.0 <= threshold * compiled.envelope.latency_bound.0
             }
         };
-        if host_route {
-            return self.execute_host(compiled, claimed, root);
+        if host_lane {
+            if let Some(output) = host_reference(spec, &compiled, &self.cfg, resident.as_ref()) {
+                return self.execute_host(compiled, output, root);
+            }
         }
 
         // Submit-side backpressure: block (flushing and pumping
@@ -865,7 +805,7 @@ impl PoolShared {
                             digital_capacity: pool_capacity,
                             analog_capacity: self.cfg.analog_tiles,
                         };
-                        st.slots.insert(job.0, Slot::Queued { claimed });
+                        st.slots.insert(job.0, Slot::Queued);
                         open_queue_lifecycle(st, &self.tracer, job, root);
                         fail_at_dispatch(st, &self.tracer, compiled, 0, error);
                         return Ok(job);
@@ -893,7 +833,7 @@ impl PoolShared {
                             digital_capacity: self.cfg.digital_tiles,
                             analog_capacity: self.cfg.analog_tiles,
                         };
-                        st.slots.insert(job.0, Slot::Queued { claimed });
+                        st.slots.insert(job.0, Slot::Queued);
                         open_queue_lifecycle(st, &self.tracer, job, root);
                         fail_at_dispatch(st, &self.tracer, compiled, 0, error);
                         return Ok(job);
@@ -912,7 +852,7 @@ impl PoolShared {
                 }
             }
         }
-        st.slots.insert(job.0, Slot::Queued { claimed });
+        st.slots.insert(job.0, Slot::Queued);
         open_queue_lifecycle(st, &self.tracer, job, root);
         st.inflight.insert(job.0, compiled.envelope.cost_units);
         st.inflight_total = st
@@ -955,20 +895,16 @@ impl PoolShared {
     }
 
     /// Serves a host-routed job on the planner's host-executor lane:
-    /// the precomputed bit-identical host result completes the job
+    /// its bit-identical host result `output` completes the job
     /// immediately — empty `shards`, no batch id consumed, no device
     /// state touched — under a `host_execute` span, and telemetry books
     /// it in the host-routed ledger instead of the speedup mean.
     fn execute_host(
         &self,
-        mut compiled: CompiledJob,
-        claimed: bool,
+        compiled: CompiledJob,
+        output: JobOutput,
         root: SpanId,
     ) -> Result<JobId, CompileError> {
-        let output = match compiled.host.take() {
-            Some(output) => output,
-            None => unreachable!("host routing requires a precomputed host reference"),
-        };
         let host = ConventionalMachine::xeon_e5_2680();
         let cim_system = CimSystem::paper_default();
         let offload = offload_estimate(&compiled, &host, &cim_system);
@@ -998,7 +934,7 @@ impl PoolShared {
         let job = compiled.job;
         let mut st = lock(&self.state);
         let st = &mut *st;
-        st.slots.insert(job.0, Slot::Queued { claimed });
+        st.slots.insert(job.0, Slot::Queued);
         open_queue_lifecycle(st, &self.tracer, job, root);
         st.telemetry.record(&report);
         complete_job_slot(st, &self.tracer, Box::new(report));
@@ -1015,7 +951,6 @@ impl PoolShared {
         job: JobId,
         tenant: TenantId,
         spec: &WorkloadSpec,
-        claimed: bool,
         root: SpanId,
         error: JobError,
     ) -> Result<JobId, CompileError> {
@@ -1040,7 +975,7 @@ impl PoolShared {
         };
         let mut st = lock(&self.state);
         let st = &mut *st;
-        st.slots.insert(job.0, Slot::Queued { claimed });
+        st.slots.insert(job.0, Slot::Queued);
         // The job never queues (it failed before compiling into a
         // stream), so its lifecycle has no queue span: the traced route
         // is job → compile → report.
@@ -1075,23 +1010,7 @@ impl PoolShared {
             let st = lock(&self.state);
             let probe = JobId(st.next_job);
             let seed = mix_seed(self.cfg.seed, 0x0B0B ^ probe.0);
-            let resident = match spec.dataset() {
-                Some(id) => {
-                    let record = st
-                        .datasets
-                        .get(&id.0)
-                        .filter(|r| !r.released)
-                        .ok_or(CompileError::UnknownDataset { dataset: id })?;
-                    if record.tenant != tenant {
-                        return Err(CompileError::DatasetAccessDenied {
-                            dataset: id,
-                            owner: record.tenant,
-                        });
-                    }
-                    Some(record.view())
-                }
-                None => None,
-            };
+            let resident = resolve_dataset(&st, tenant, spec)?;
             (probe, seed, resident)
         };
         let compiled = compile(
@@ -1541,8 +1460,8 @@ impl PoolShared {
     /// Removes and returns the job's report if it is ready.
     fn try_take_done(&self, job: JobId) -> Option<JobReport> {
         let mut st = lock(&self.state);
-        if matches!(st.slots.get(&job.0), Some(Slot::Done { .. })) {
-            let Some(Slot::Done { report, .. }) = st.slots.remove(&job.0) else {
+        if matches!(st.slots.get(&job.0), Some(Slot::Done(_))) {
+            let Some(Slot::Done(report)) = st.slots.remove(&job.0) else {
                 unreachable!("checked above");
             };
             return Some(*report);
@@ -1555,10 +1474,10 @@ impl PoolShared {
         self.try_pump();
         let st = lock(&self.state);
         match st.slots.get(&job.0) {
-            Some(Slot::Queued { .. }) => JobStatus::Queued,
-            Some(Slot::Dispatched { .. }) => JobStatus::Dispatched,
+            Some(Slot::Queued) => JobStatus::Queued,
+            Some(Slot::Dispatched) => JobStatus::Dispatched,
             // A missing slot means the report was already taken.
-            Some(Slot::Done { .. }) | Some(Slot::Abandoned) | None => JobStatus::Completed,
+            Some(Slot::Done(_)) | Some(Slot::Abandoned) | None => JobStatus::Completed,
         }
     }
 
@@ -1573,7 +1492,7 @@ impl PoolShared {
         self.pump_until(|st| {
             !matches!(
                 st.slots.get(&job.0),
-                Some(Slot::Queued { .. }) | Some(Slot::Dispatched { .. })
+                Some(Slot::Queued) | Some(Slot::Dispatched)
             )
         });
         self.try_take_done(job).unwrap_or_else(|| {
@@ -1586,50 +1505,39 @@ impl PoolShared {
     pub(crate) fn abandon_job(&self, job: JobId) {
         let mut st = lock(&self.state);
         match st.slots.get(&job.0) {
-            Some(Slot::Done { .. }) => {
+            Some(Slot::Done(_)) => {
                 st.slots.remove(&job.0);
             }
-            Some(Slot::Queued { .. }) | Some(Slot::Dispatched { .. }) => {
+            Some(Slot::Queued) | Some(Slot::Dispatched) => {
                 st.slots.insert(job.0, Slot::Abandoned);
             }
             Some(Slot::Abandoned) | None => {}
         }
     }
+}
 
-    /// Legacy drain: flush, block until every unclaimed job completes,
-    /// return their reports sorted by id.
-    pub(crate) fn drain_unclaimed(&self) -> Vec<JobReport> {
-        self.flush();
-        self.pump_until(|st| {
-            !st.slots.values().any(|slot| {
-                matches!(
-                    slot,
-                    Slot::Queued { claimed: false } | Slot::Dispatched { claimed: false }
-                )
-            })
+/// Snapshots the dataset a query spec runs against, checking that it is
+/// still registered and owned by `tenant`; `None` for plain workloads.
+fn resolve_dataset(
+    st: &PoolState,
+    tenant: TenantId,
+    spec: &WorkloadSpec,
+) -> Result<Option<ResidentView>, CompileError> {
+    let Some(id) = spec.dataset() else {
+        return Ok(None);
+    };
+    let record = st
+        .datasets
+        .get(&id.0)
+        .filter(|r| !r.released)
+        .ok_or(CompileError::UnknownDataset { dataset: id })?;
+    if record.tenant != tenant {
+        return Err(CompileError::DatasetAccessDenied {
+            dataset: id,
+            owner: record.tenant,
         });
-        self.take_unclaimed_done()
     }
-
-    /// Removes and returns every unclaimed completed report, sorted by
-    /// job id.
-    fn take_unclaimed_done(&self) -> Vec<JobReport> {
-        let mut st = lock(&self.state);
-        let ids: Vec<u64> = st
-            .slots
-            .iter()
-            .filter(|(_, slot)| matches!(slot, Slot::Done { claimed: false, .. }))
-            .map(|(id, _)| *id)
-            .collect();
-        let mut reports = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(Slot::Done { report, .. }) = st.slots.remove(&id) {
-                reports.push(*report);
-            }
-        }
-        reports.sort_by_key(|r| r.job);
-        reports
-    }
+    Ok(Some(record.view()))
 }
 
 /// Opens the job's queue span and records its lifecycle entry — the
@@ -1647,7 +1555,7 @@ fn open_queue_lifecycle(st: &mut PoolState, tracer: &Tracer, job: JobId, root: S
     );
 }
 
-/// Marks every planned job as dispatched, preserving its claim; stamps
+/// Marks every planned job as dispatched; stamps
 /// the dispatch wall-clock, closes the queue span and opens one
 /// `dispatch` span per placed part (a split job dispatches several).
 fn mark_dispatched(st: &mut PoolState, tracer: &Tracer, batches: &mut [(usize, Batch)]) {
@@ -1656,9 +1564,8 @@ fn mark_dispatched(st: &mut PoolState, tracer: &Tracer, batches: &mut [(usize, B
         let batch_id = batch.id;
         for placed in batch.jobs.iter_mut() {
             let id = placed.compiled.job.0;
-            if let Some(Slot::Queued { claimed }) = st.slots.get(&id) {
-                let claimed = *claimed;
-                st.slots.insert(id, Slot::Dispatched { claimed });
+            if let Some(Slot::Queued) = st.slots.get(&id) {
+                st.slots.insert(id, Slot::Dispatched);
             }
             if let Some(lc) = st.lifecycles.get_mut(&id) {
                 if lc.dispatched.is_none() {
@@ -1691,11 +1598,12 @@ fn offload_estimate(
     host: &ConventionalMachine,
     cim_system: &CimSystem,
 ) -> OffloadEstimate {
+    let profile = compiled.kind.host_profile();
     Program::streaming(
         ByteSize(compiled.resident_bytes.max(64)),
-        compiled.host_profile.accel_fraction,
-        compiled.host_profile.l1_miss,
-        compiled.host_profile.l2_miss,
+        profile.accel_fraction,
+        profile.l1_miss,
+        profile.l2_miss,
     )
     .estimate(host, cim_system)
 }
@@ -1766,12 +1674,10 @@ fn complete_job_slot(st: &mut PoolState, tracer: &Tracer, mut report: Box<JobRep
         Some(Slot::Abandoned) => {
             st.slots.remove(&report.job.0);
         }
-        Some(Slot::Queued { claimed }) | Some(Slot::Dispatched { claimed }) => {
-            let claimed = *claimed;
-            st.slots
-                .insert(report.job.0, Slot::Done { claimed, report });
+        Some(Slot::Queued) | Some(Slot::Dispatched) => {
+            st.slots.insert(report.job.0, Slot::Done(report));
         }
-        Some(Slot::Done { .. }) | None => {}
+        Some(Slot::Done(_)) | None => {}
     }
 }
 
@@ -2875,24 +2781,6 @@ mod tests {
         let report = handle.wait();
         assert_eq!(report.kind, JobKind::ScoutBulk);
         assert!(report.shard < 2);
-    }
-
-    #[test]
-    fn legacy_shim_still_serves() {
-        #![allow(deprecated)]
-        let mut pool = RuntimePool::new(PoolConfig::with_shards(1));
-        pool.submit(
-            TenantId(0),
-            &WorkloadSpec::XorEncrypt {
-                message: vec![1; 16],
-                key_seed: 4,
-            },
-        )
-        .unwrap();
-        let reports = pool.drain();
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].output.is_ok());
-        assert_eq!(pool.telemetry().jobs, 1);
     }
 
     /// Satellite "smarter batching": with cost-aware packing, a cheap

@@ -3,8 +3,8 @@
 //! Pins the runtime invariants:
 //! 1. batched execution is bit-identical to sequential execution for a
 //!    fixed pool seed,
-//! 2. the session API (`PoolClient` + `JobHandle`) returns exactly the
-//!    reports the legacy `submit`/`drain` shim returns,
+//! 2. the session API (`PoolClient` + `JobHandle`) returns the same
+//!    reports however the pool is flushed and waited on,
 //! 3. pool-wide telemetry equals the sum of per-job statistics,
 //! 4. tenants cannot read each other's tiles,
 //! 5. resident datasets pay their load writes once, stay resident
@@ -97,13 +97,11 @@ fn batched_equals_sequential_for_fixed_seed() {
     let handles = submit_all(&batched, &jobs);
     let batched_reports = batched.client(TenantId(0)).wait_all(handles);
 
-    #[allow(deprecated)]
-    let sequential_reports = {
+    let sequential_reports: Vec<_> = {
         let mut sequential = RuntimePool::new(PoolConfig::with_shards(2));
-        for (tenant, spec) in &jobs {
-            sequential.submit(*tenant, spec).expect("workload fits");
-        }
-        sequential.drain_sequential()
+        let handles = submit_all(&sequential, &jobs);
+        sequential.drain_sequential();
+        handles.into_iter().map(JobHandle::wait).collect()
     };
 
     assert_eq!(batched_reports.len(), sequential_reports.len());
@@ -129,9 +127,10 @@ fn batched_equals_sequential_for_fixed_seed() {
     assert!(batched.telemetry().batches < batched_reports.len() as u64);
 }
 
-/// Satellite: the non-blocking handle path returns bit-identical
-/// reports to the legacy blocking `drain` for a fixed seed — the shim
-/// and the session API are the same machine.
+/// The non-blocking handle path returns bit-identical reports for a
+/// fixed seed however it is driven: `wait_all` on one pool, an explicit
+/// pool-wide flush followed by per-handle waits in reverse order on a
+/// second.
 #[test]
 fn handle_wait_matches_legacy_drain() {
     let jobs = mixed_workload();
@@ -148,16 +147,13 @@ fn handle_wait_matches_legacy_drain() {
     }
     let session_reports = session_pool.client(TenantId(0)).wait_all(handles);
 
-    #[allow(deprecated)]
-    let legacy_reports = {
-        let mut legacy = RuntimePool::new(PoolConfig::with_shards(2));
-        for (tenant, spec) in &jobs {
-            legacy.submit(*tenant, spec).expect("workload fits");
-        }
-        legacy.drain()
-    };
+    let flushed_pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let handles = submit_all(&flushed_pool, &jobs);
+    flushed_pool.flush();
+    let mut flushed_reports: Vec<_> = handles.into_iter().rev().map(JobHandle::wait).collect();
+    flushed_reports.reverse();
 
-    assert_eq!(session_reports, legacy_reports);
+    assert_eq!(session_reports, flushed_reports);
 }
 
 #[test]

@@ -17,7 +17,8 @@ use cim_repro::cim_bitmap_db::query::q6_scan;
 use cim_repro::cim_bitmap_db::tpch::{LineItemTable, Q6Params};
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_runtime::{
-    CompileError, DatasetSpec, JobError, JobOutput, PoolConfig, RuntimePool, TenantId, WorkloadSpec,
+    CompileError, DatasetSpec, JobError, JobHandle, JobOutput, PoolConfig, RuntimePool, TenantId,
+    WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
 use proptest::prelude::*;
@@ -348,13 +349,14 @@ fn split_jobs_batched_equals_sequential() {
         .collect();
     let batched_reports = batched.client(TenantId(0)).wait_all(handles);
 
-    #[allow(deprecated)]
-    let sequential_reports = {
+    let sequential_reports: Vec<_> = {
         let mut sequential = pool(4);
-        for (tenant, spec) in &jobs {
-            sequential.submit(*tenant, spec).unwrap();
-        }
-        sequential.drain_sequential()
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|(tenant, spec)| sequential.client(*tenant).submit(spec).unwrap())
+            .collect();
+        sequential.drain_sequential();
+        handles.into_iter().map(JobHandle::wait).collect()
     };
 
     assert_eq!(batched_reports.len(), sequential_reports.len());
