@@ -3426,4 +3426,269 @@ mod tests {
             }
         );
     }
+
+    /// Pins the shape of every report the pool synthesizes without a
+    /// device ever running the job: the route, the shard, no shards and
+    /// no batch, zero stats/device/maintenance, and the analytical
+    /// offload estimate (a fixed 64-byte raw-profile estimate for jobs
+    /// that failed before compiling, the kind's estimate otherwise).
+    #[test]
+    fn synthesized_reports_have_one_shape() {
+        let estimate = |bytes: u64, accel: f64, l1: f64, l2: f64| {
+            Program::streaming(ByteSize(bytes.max(64)), accel, l1, l2).estimate(
+                &ConventionalMachine::xeon_e5_2680(),
+                &CimSystem::paper_default(),
+            )
+        };
+        let offload_of = |spec: &WorkloadSpec, cfg: &PoolConfig| {
+            let compiled = compile(spec, JobId(0), TenantId(0), cfg, 0, 0, None).unwrap();
+            let p = compiled.kind.host_profile();
+            estimate(
+                compiled.resident_bytes,
+                p.accel_fraction,
+                p.l1_miss,
+                p.l2_miss,
+            )
+        };
+        let check = |report: &JobReport,
+                     tenant: u32,
+                     kind: JobKind,
+                     route: JobRoute,
+                     shard: usize,
+                     offload: OffloadEstimate| {
+            assert_eq!(report.tenant, TenantId(tenant), "{report:?}");
+            assert_eq!(report.kind, kind, "{report:?}");
+            assert_eq!(report.route, route, "{report:?}");
+            assert_eq!(report.shard, shard, "{report:?}");
+            assert!(report.shards.is_empty(), "{report:?}");
+            assert_eq!(report.batch, u64::MAX, "{report:?}");
+            assert_eq!(report.stats, ExecutionStats::default(), "{report:?}");
+            assert_eq!(report.device, DeviceCounters::default(), "{report:?}");
+            assert_eq!(report.maintenance, OperationCost::default(), "{report:?}");
+            assert_eq!(report.offload, offload, "{report:?}");
+        };
+
+        let cfg = PoolConfig::with_shards(2);
+        let pool = RuntimePool::new(cfg);
+        let session = pool.client(TenantId(3));
+
+        // Compile-time tile cap: terminal before any stream exists.
+        let deep = WorkloadSpec::NnInfer {
+            network: BinarizedMlp::random(&[8, 8, 8, 4], 1),
+            inputs: vec![BitVec::zeros(8)],
+        };
+        let report = session.submit(&deep).unwrap().wait();
+        assert!(matches!(
+            report.output,
+            Err(JobError::WorkloadTooLarge {
+                analog_required: 3,
+                ..
+            })
+        ));
+        check(
+            &report,
+            3,
+            JobKind::NnInfer,
+            JobRoute::Cim,
+            0,
+            estimate(64, 0.5, 0.5, 0.5),
+        );
+
+        // Verifier rejection: reads of rows the job never wrote.
+        let unwritten = WorkloadSpec::Raw {
+            digital_tiles: 1,
+            analog_tiles: 0,
+            instructions: (0..10)
+                .map(|row| CimInstruction::ReadRow { tile: 0, row })
+                .collect(),
+        };
+        let report = session.submit(&unwritten).unwrap().wait();
+        assert!(
+            matches!(report.output, Err(JobError::RejectedByVerifier { .. })),
+            "{:?}",
+            report.output
+        );
+        check(
+            &report,
+            3,
+            JobKind::Raw,
+            JobRoute::Cim,
+            0,
+            offload_of(&unwritten, &cfg),
+        );
+
+        // Never fits at submit: unsplittable, then splittable.
+        let wide = WorkloadSpec::Raw {
+            digital_tiles: 99,
+            analog_tiles: 0,
+            instructions: vec![],
+        };
+        let report = session.submit(&wide).unwrap().wait();
+        assert!(matches!(
+            report.output,
+            Err(JobError::WorkloadTooLarge {
+                digital_capacity: 4,
+                ..
+            })
+        ));
+        check(
+            &report,
+            3,
+            JobKind::Raw,
+            JobRoute::Cim,
+            0,
+            offload_of(&wide, &cfg),
+        );
+        let tall = WorkloadSpec::ScoutBulk {
+            op: ScoutOp::Or,
+            rows: (0..9 * cfg.tile_rows)
+                .map(|i| BitVec::from_fn(64, |j| (i + j) % 5 == 0))
+                .collect(),
+        };
+        let report = session.submit(&tall).unwrap().wait();
+        assert!(matches!(
+            report.output,
+            Err(JobError::WorkloadTooLarge {
+                digital_capacity: 8,
+                ..
+            })
+        ));
+        check(
+            &report,
+            3,
+            JobKind::ScoutBulk,
+            JobRoute::Cim,
+            0,
+            offload_of(&tall, &cfg),
+        );
+
+        // Admission fails at plan time: datasets pin 3 of 4 tiles on
+        // both shards between submit and flush. The XOR job loads shard
+        // 0, so the unsplittable job falls back to shard 1; the
+        // splittable one cannot scatter over the 2 free tiles.
+        let xor = WorkloadSpec::XorEncrypt {
+            message: vec![5; 16],
+            key_seed: 2,
+        };
+        let two_tiles = WorkloadSpec::Raw {
+            digital_tiles: 2,
+            analog_tiles: 0,
+            instructions: vec![],
+        };
+        let select = WorkloadSpec::Q6Select {
+            rows: 4 * cfg.tile_cols,
+            table_seed: 6,
+            params: Q6Params::tpch_default(),
+        };
+        let xor_handle = session.submit(&xor).unwrap();
+        let raw_handle = session.submit(&two_tiles).unwrap();
+        let select_handle = session.submit(&select).unwrap();
+        let pins: Vec<_> = (0..2)
+            .map(|seed| {
+                session
+                    .register_dataset(&DatasetSpec::Q6Table {
+                        rows: 3 * cfg.tile_cols,
+                        table_seed: seed,
+                    })
+                    .unwrap()
+            })
+            .collect();
+        assert_ne!(pins[0].shard(), pins[1].shard());
+        assert!(xor_handle.wait().output.is_ok());
+        let report = raw_handle.wait();
+        assert_eq!(
+            report.output,
+            Err(JobError::AdmissionFailed {
+                digital_required: 2,
+                digital_free: 1,
+                analog_required: 0,
+                analog_free: 2,
+            })
+        );
+        check(
+            &report,
+            3,
+            JobKind::Raw,
+            JobRoute::Cim,
+            1,
+            offload_of(&two_tiles, &cfg),
+        );
+        let report = select_handle.wait();
+        assert_eq!(
+            report.output,
+            Err(JobError::AdmissionFailed {
+                digital_required: 4,
+                digital_free: 2,
+                analog_required: 0,
+                analog_free: 0,
+            })
+        );
+        check(
+            &report,
+            3,
+            JobKind::Q6Select,
+            JobRoute::Cim,
+            0,
+            offload_of(&select, &cfg),
+        );
+        drop(pins);
+
+        // The queried dataset is released between submit and flush.
+        let one_shard = PoolConfig::with_shards(1);
+        let pool = RuntimePool::new(one_shard);
+        let session = pool.client(TenantId(4));
+        let table = DatasetSpec::Q6Table {
+            rows: 500,
+            table_seed: 3,
+        };
+        let dataset = session.register_dataset(&table).unwrap();
+        let id = dataset.id();
+        let handle = session
+            .submit(&WorkloadSpec::Q6Query {
+                dataset: id,
+                params: Q6Params::tpch_default(),
+            })
+            .unwrap();
+        drop(dataset);
+        let report = handle.wait();
+        assert_eq!(
+            report.output,
+            Err(JobError::DatasetReleased { dataset: id })
+        );
+        assert_eq!(report.dataset, Some(id));
+        let p = JobKind::Q6Query.host_profile();
+        let resident = compile_dataset_load(&table, &one_shard, 0)
+            .unwrap()
+            .resident_bytes;
+        check(
+            &report,
+            4,
+            JobKind::Q6Query,
+            JobRoute::Cim,
+            0,
+            estimate(resident, p.accel_fraction, p.l1_miss, p.l2_miss),
+        );
+
+        // The host lane: served without a shard, output intact.
+        let host_cfg = PoolConfig {
+            offload_policy: OffloadPolicy::AlwaysHost,
+            ..PoolConfig::with_shards(2)
+        };
+        let pool = RuntimePool::new(host_cfg);
+        let report = pool.client(TenantId(5)).submit(&xor).unwrap().wait();
+        assert_eq!(
+            report.output,
+            Ok(JobOutput::Cipher(
+                OneTimePad::generate(16, 2).encrypt(&[5; 16]).unwrap()
+            ))
+        );
+        check(
+            &report,
+            5,
+            JobKind::XorEncrypt,
+            JobRoute::Host,
+            0,
+            offload_of(&xor, &host_cfg),
+        );
+    }
 }
