@@ -154,6 +154,24 @@ impl CimInstruction {
             CimInstruction::MvmT { .. } => "CIM.MVMT",
         }
     }
+
+    /// The tile family this instruction addresses and its tile index,
+    /// by mutable reference: relocation and tile splitting patch
+    /// streams in place through it, without the allocations of
+    /// [`CimInstruction::effects`].
+    pub fn tile_mut(&mut self) -> (TileFamily, &mut usize) {
+        match self {
+            CimInstruction::WriteRow { tile, .. }
+            | CimInstruction::ReadRow { tile, .. }
+            | CimInstruction::Logic { tile, .. }
+            | CimInstruction::StoreLast { tile, .. }
+            | CimInstruction::WriteKey { tile, .. }
+            | CimInstruction::MatchSearch { tile, .. } => (TileFamily::Digital, tile),
+            CimInstruction::ProgramMatrix { tile, .. }
+            | CimInstruction::Mvm { tile, .. }
+            | CimInstruction::MvmT { tile, .. } => (TileFamily::Analog, tile),
+        }
+    }
 }
 
 /// Which tile family an instruction addresses. The two families have
@@ -426,6 +444,15 @@ mod tests {
             z: vec![0.0; 2],
         };
         assert!(mvt.effects().reads_matrix && !mvt.effects().writes_matrix);
+
+        // The in-place tile accessor agrees with the effect summary.
+        for mut instr in [st, logic, wk, ms, pm, mv, mvt] {
+            let e = instr.effects();
+            let (family, tile) = instr.tile_mut();
+            assert_eq!((family, *tile), (e.family, e.tile), "{instr:?}");
+            *tile += 10;
+            assert_eq!(instr.effects().tile, e.tile + 10, "{instr:?}");
+        }
     }
 
     #[test]

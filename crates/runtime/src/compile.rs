@@ -26,7 +26,7 @@ use crate::job::{
 use crate::schedule::PoolConfig;
 use cim_bitmap_db::query::{q6_result_from_selection, q6_scan, Q6Indexes};
 use cim_bitmap_db::tpch::{LineItemTable, Q6Params, DISCOUNT_LEVELS, MAX_QUANTITY, SHIP_MONTHS};
-use cim_core::isa::{CimInstruction, CimResponse, MatchKind};
+use cim_core::isa::{CimInstruction, CimResponse, MatchKind, TileFamily};
 use cim_core::AddressMap;
 use cim_crossbar::cam::{host_match, key_bits, RuleSet};
 use cim_crossbar::scouting::ScoutOp;
@@ -1206,7 +1206,13 @@ fn q6_footprint(rows: usize, cfg: &PoolConfig) -> Result<usize, CompileError> {
             available: cfg.tile_rows,
         });
     }
-    let tiles = rows.div_ceil(cfg.tile_cols);
+    pool_wide(rows.div_ceil(cfg.tile_cols), cfg)
+}
+
+/// Checks a tile-parallel footprint of `tiles` digital tiles against
+/// the whole pool's digital tiles (such workloads split across shards)
+/// and passes it through.
+fn pool_wide(tiles: usize, cfg: &PoolConfig) -> Result<usize, CompileError> {
     let pool_tiles = cfg.digital_tiles * cfg.shards;
     if tiles > pool_tiles {
         return Err(CompileError::NeedsMoreDigitalTiles {
@@ -1970,15 +1976,7 @@ fn cam_entry_tiles(count: usize, cfg: &PoolConfig) -> Result<usize, CompileError
             available: cfg.tile_rows,
         });
     }
-    let tiles = count.div_ceil(per_tile);
-    let pool_tiles = cfg.digital_tiles * cfg.shards;
-    if tiles > pool_tiles {
-        return Err(CompileError::NeedsMoreDigitalTiles {
-            required: tiles,
-            available: pool_tiles,
-        });
-    }
-    Ok(tiles)
+    pool_wide(count.div_ceil(per_tile), cfg)
 }
 
 /// Emits the load writes of a CAM dataset: entry `e` lands in slot
@@ -2279,38 +2277,47 @@ fn lower_scout(op: ScoutOp, rows: &[BitVec], cfg: &PoolConfig) -> Result<Lowered
     })
 }
 
-/// The digital tile an instruction addresses (`None` for analog
-/// instructions).
-fn digital_tile_of(instr: &CimInstruction) -> Option<usize> {
-    match instr {
-        CimInstruction::WriteRow { tile, .. }
-        | CimInstruction::ReadRow { tile, .. }
-        | CimInstruction::Logic { tile, .. }
-        | CimInstruction::StoreLast { tile, .. }
-        | CimInstruction::WriteKey { tile, .. }
-        | CimInstruction::MatchSearch { tile, .. } => Some(*tile),
-        CimInstruction::ProgramMatrix { .. }
-        | CimInstruction::Mvm { .. }
-        | CimInstruction::MvmT { .. } => None,
+/// Splits a digital-only stream into contiguous virtual-tile chunks
+/// retiled to chunk-local indices `0..chunk`, keeping stream order
+/// within each chunk. Each chunk also lists where the stream's
+/// `outputs` landed in it. Dataset loads (no outputs) and compiled jobs
+/// split through this one loop.
+///
+/// `chunks` must partition the stream's digital tiles in ascending
+/// virtual-tile order.
+pub(crate) fn split_stream(
+    instructions: &[CimInstruction],
+    outputs: &[usize],
+    chunks: &[usize],
+) -> Vec<(Vec<CimInstruction>, Vec<usize>)> {
+    // The chunk of every virtual tile, and each chunk's first tile.
+    let mut part_of = Vec::new();
+    let mut bases = Vec::with_capacity(chunks.len());
+    for (part, &chunk) in chunks.iter().enumerate() {
+        bases.push(part_of.len());
+        part_of.resize(part_of.len() + chunk, part);
     }
-}
-
-/// Rewrites an instruction's digital tile index in place.
-fn retile_digital(instr: &mut CimInstruction, to: usize) {
-    match instr {
-        CimInstruction::WriteRow { tile, .. }
-        | CimInstruction::ReadRow { tile, .. }
-        | CimInstruction::Logic { tile, .. }
-        | CimInstruction::StoreLast { tile, .. }
-        | CimInstruction::WriteKey { tile, .. }
-        | CimInstruction::MatchSearch { tile, .. } => *tile = to,
-        _ => unreachable!("splittable streams are digital-only"),
+    let output_set: BTreeSet<usize> = outputs.iter().copied().collect();
+    let mut parts: Vec<(Vec<CimInstruction>, Vec<usize>)> =
+        chunks.iter().map(|_| (Vec::new(), Vec::new())).collect();
+    for (index, instr) in instructions.iter().enumerate() {
+        let mut instr = instr.clone();
+        let (family, tile) = instr.tile_mut();
+        assert_eq!(family, TileFamily::Digital, "only digital streams split");
+        let part = part_of[*tile];
+        *tile -= bases[part];
+        let (stream, outputs) = &mut parts[part];
+        if output_set.contains(&index) {
+            outputs.push(stream.len());
+        }
+        stream.push(instr);
     }
+    parts
 }
 
 /// Splits a digital-tile-parallel compiled job into contiguous
 /// virtual-tile chunks — one sub-program per chunk, retiled to local
-/// virtual indices `0..chunk`.
+/// virtual indices `0..chunk` by [`split_stream`].
 ///
 /// Each sub-program returns its raw chunk responses
 /// ([`Finalizer::Raw`]); the scheduler's gather step concatenates them
@@ -2333,27 +2340,11 @@ pub(crate) fn split_by_digital_tile(
         "chunks partition the parent's digital tiles"
     );
     debug_assert_eq!(parent.demand.analog, 0, "only digital jobs split");
-    let output_set: BTreeSet<usize> = parent.outputs.iter().copied().collect();
     let row_bytes = cfg.tile_cols.div_ceil(8);
-    let mut parts = Vec::with_capacity(chunks.len());
     let mut base = 0usize;
-    for (part, &chunk) in chunks.iter().enumerate() {
-        let mut instructions = Vec::new();
-        let mut outputs = Vec::new();
-        for (index, instr) in parent.instructions.iter().enumerate() {
-            let tile = match digital_tile_of(instr) {
-                Some(tile) => tile,
-                None => unreachable!("splittable streams are digital-only"),
-            };
-            if (base..base + chunk).contains(&tile) {
-                let mut instr = instr.clone();
-                retile_digital(&mut instr, tile - base);
-                if output_set.contains(&index) {
-                    outputs.push(instructions.len());
-                }
-                instructions.push(instr);
-            }
-        }
+    let streams = split_stream(&parent.instructions, &parent.outputs, chunks);
+    let mut parts = Vec::with_capacity(chunks.len());
+    for (part, (&chunk, (instructions, outputs))) in chunks.iter().zip(streams).enumerate() {
         let placement = parent.placement.as_ref().map(|map| {
             AddressMap::new(
                 map.base() + (base * cfg.tile_rows * row_bytes) as u64,
@@ -2387,34 +2378,6 @@ pub(crate) fn split_by_digital_tile(
             splittable: false,
             envelope,
         });
-        base += chunk;
-    }
-    parts
-}
-
-/// Splits a dataset load program (digital writes over virtual tiles,
-/// no outputs) into per-chunk instruction lists retiled to chunk-local
-/// virtual indices — the load-side twin of [`split_by_digital_tile`].
-pub(crate) fn split_load_by_tile(
-    instructions: &[CimInstruction],
-    chunks: &[usize],
-) -> Vec<Vec<CimInstruction>> {
-    let mut parts: Vec<Vec<CimInstruction>> = Vec::with_capacity(chunks.len());
-    let mut base = 0usize;
-    for &chunk in chunks {
-        let mut part = Vec::new();
-        for instr in instructions {
-            let tile = match digital_tile_of(instr) {
-                Some(tile) => tile,
-                None => unreachable!("digital load programs split"),
-            };
-            if (base..base + chunk).contains(&tile) {
-                let mut instr = instr.clone();
-                retile_digital(&mut instr, tile - base);
-                part.push(instr);
-            }
-        }
-        parts.push(part);
         base += chunk;
     }
     parts
@@ -2523,37 +2486,74 @@ mod tests {
         assert_eq!(parent.demand.digital, 3);
         let parts = split_by_digital_tile(&parent, &[2, 1], &cfg());
         assert_eq!(parts.len(), 2);
-        // Instructions and outputs partition exactly.
-        assert_eq!(
-            parts.iter().map(|p| p.instructions.len()).sum::<usize>(),
-            parent.instructions.len()
-        );
-        assert_eq!(
-            parts.iter().map(|p| p.outputs.len()).sum::<usize>(),
-            parent.outputs.len()
-        );
         assert_eq!(parts[0].demand.digital, 2);
         assert_eq!(parts[1].demand.digital, 1);
-        // Every sub-stream is retiled to local virtual indices.
         for part in &parts {
             assert!(matches!(part.finalizer, Finalizer::Raw));
             assert!(!part.splittable, "sub-programs never re-split");
-            for instr in &part.instructions {
-                let tile = match instr {
-                    CimInstruction::WriteRow { tile, .. }
-                    | CimInstruction::ReadRow { tile, .. }
-                    | CimInstruction::Logic { tile, .. }
-                    | CimInstruction::StoreLast { tile, .. } => *tile,
-                    other => panic!("analog instruction in a digital split: {other:?}"),
-                };
-                assert!(tile < part.demand.digital);
-            }
         }
         // Sub-placements tile the parent window in order.
         let p0 = parts[0].placement.unwrap();
         let p1 = parts[1].placement.unwrap();
         assert_eq!(p0.base(), 0x4000);
         assert!(p1.base() > p0.base());
+
+        // The compiled job's stream and the table's load program (no
+        // outputs) split through the same loop.
+        let load = compile_dataset_load(
+            &DatasetSpec::Q6Table {
+                rows: 3 * cfg().tile_cols,
+                table_seed: 4,
+            },
+            &cfg(),
+            9,
+        )
+        .unwrap();
+        assert_eq!(load.demand.digital, 3);
+        let inputs = [
+            (
+                &parent.instructions,
+                &parent.outputs,
+                parts
+                    .iter()
+                    .map(|p| (p.instructions.clone(), p.outputs.clone()))
+                    .collect::<Vec<_>>(),
+            ),
+            (
+                &load.instructions,
+                &Vec::new(),
+                split_stream(&load.instructions, &[], &[2, 1]),
+            ),
+        ];
+        for (instructions, outputs, split) in inputs {
+            let chunk_of = |i: &CimInstruction| usize::from(i.effects().tile >= 2);
+            let (mut rebuilt, mut rebuilt_outputs) = (Vec::new(), Vec::new());
+            // Every sub-stream is retiled to local virtual indices.
+            for ((stream, picked), (base, chunk)) in split.iter().zip([(0, 2), (2, 1)]) {
+                let restored: Vec<CimInstruction> = stream
+                    .iter()
+                    .map(|instr| {
+                        let mut instr = instr.clone();
+                        let (family, tile) = instr.tile_mut();
+                        assert_eq!(family, TileFamily::Digital);
+                        assert!(*tile < chunk);
+                        *tile += base;
+                        instr
+                    })
+                    .collect();
+                rebuilt_outputs.extend(picked.iter().map(|&i| restored[i].clone()));
+                rebuilt.extend(restored);
+            }
+            // Undoing the retiling gives back the stream and its
+            // outputs, chunk-major.
+            let mut expected = instructions.clone();
+            expected.sort_by_key(chunk_of);
+            assert_eq!(rebuilt, expected);
+            let mut expected: Vec<CimInstruction> =
+                outputs.iter().map(|&i| instructions[i].clone()).collect();
+            expected.sort_by_key(chunk_of);
+            assert_eq!(rebuilt_outputs, expected);
+        }
     }
 
     #[test]
@@ -2909,7 +2909,7 @@ mod tests {
         let on_tile = |stream: &[CimInstruction], t: usize| -> Vec<CimInstruction> {
             stream
                 .iter()
-                .filter(|i| digital_tile_of(i) == Some(t))
+                .filter(|i| i.effects().tile == t)
                 .cloned()
                 .collect()
         };

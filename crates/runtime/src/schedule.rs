@@ -41,8 +41,8 @@
 
 use crate::client::PoolClient;
 use crate::compile::{
-    compile, compile_dataset_load, host_reference, split_by_digital_tile, split_load_by_tile,
-    CompileError, CompiledJob, DatasetProgram, Finalizer,
+    compile, compile_dataset_load, host_reference, split_by_digital_tile, split_stream,
+    CompileError, CompiledJob, DatasetProgram, Finalizer, TileDemand,
 };
 use crate::dataset::{DatasetRecord, DatasetSpec, LoadProgress, ResidentView, ShardPlacement};
 use crate::job::{
@@ -53,7 +53,7 @@ use crate::telemetry::{stats_accumulate, stats_delta, PoolTelemetry};
 use crate::trace::{Attr, Tracer};
 use cim_arch::cim::CimSystem;
 use cim_arch::conventional::ConventionalMachine;
-use cim_core::isa::{CimInstruction, CimResponse};
+use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
 use cim_core::offload::{OffloadEstimate, Program};
 use cim_core::{AddressMap, CimAccelerator, CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
 use cim_crossbar::analog::AnalogParams;
@@ -115,14 +115,13 @@ pub struct PoolConfig {
     /// Pool seed: fabrication variation and per-job noise streams derive
     /// from it.
     pub seed: u64,
-    /// Maximum jobs coalesced into one batch.
+    /// Maximum jobs coalesced into one batch. `1` is the no-coalescing
+    /// schedule: every job dispatches in a batch of its own.
     pub max_batch_jobs: usize,
     /// Maximum summed [`CompiledJob::estimated_cost`] of one batch (the
     /// first job is always admitted). Bounds how long a batch can keep
     /// a shard busy, so admission packs by cost, not tile count alone.
     pub max_batch_cost: u64,
-    /// Whether to coalesce compatible jobs at all.
-    pub coalesce: bool,
     /// Run the `cim-lint` static verifier on *every* compiled program
     /// at submission, not just raw streams. Raw instruction streams
     /// ([`crate::WorkloadSpec::Raw`] / [`crate::WorkloadSpec::RawQuery`])
@@ -172,7 +171,6 @@ impl Default for PoolConfig {
             seed: 0xC1A0,
             max_batch_jobs: 8,
             max_batch_cost: 1 << 14,
-            coalesce: true,
             verify_all_programs: false,
             reram_params: ReramParams::default(),
             analog_params: AnalogParams::default(),
@@ -539,7 +537,7 @@ impl RuntimePool {
     pub fn drain_sequential(&mut self) {
         let mut batches = {
             let mut st = lock(&self.shared.state);
-            let mut batches = plan(&mut st, &self.shared.cfg, false, 1, &self.shared.tracer);
+            let mut batches = plan(&mut st, &self.shared.cfg, 1, &self.shared.tracer);
             st.telemetry.batches += batches.len() as u64;
             mark_dispatched(&mut st, &self.shared.tracer, &mut batches);
             batches
@@ -553,28 +551,13 @@ impl RuntimePool {
         let mut batches = batches.into_iter().peekable();
         while let Some((shard, batch)) = batches.next() {
             let job = batch.jobs[0].compiled.job;
-            self.shared.to_shards[shard]
-                .send(WorkerMsg::Batch(batch))
-                .unwrap_or_else(|_| panic!("shard worker disconnected before the pool shut down"));
-            while let Some((_, next)) = batches.peek() {
-                if next.jobs[0].compiled.job != job {
-                    break;
-                }
-                let Some((shard, batch)) = batches.next() else {
-                    unreachable!("peeked above");
-                };
-                self.shared.to_shards[shard]
-                    .send(WorkerMsg::Batch(batch))
-                    .unwrap_or_else(|_| {
-                        panic!("shard worker disconnected before the pool shut down")
-                    });
+            self.shared.send(shard, WorkerMsg::Batch(batch));
+            while let Some((shard, batch)) =
+                batches.next_if(|(_, next)| next.jobs[0].compiled.job == job)
+            {
+                self.shared.send(shard, WorkerMsg::Batch(batch));
             }
-            self.shared.pump_until(|st| {
-                !matches!(
-                    st.slots.get(&job.0),
-                    Some(Slot::Queued) | Some(Slot::Dispatched)
-                )
-            });
+            self.shared.pump_until(|st| job_settled(st, job));
         }
     }
 }
@@ -635,19 +618,13 @@ impl PoolShared {
         };
         // The job's root span: every later stage (compile, queue,
         // dispatch, execute, gather, finalize, report) nests under it.
-        let mut root_attrs: [Attr; 4] = [
+        let root_attrs: [Attr; 4] = [
             ("job", Value::U64(job.0)),
             ("tenant", Value::U64(tenant.0 as u64)),
             ("kind", Value::Str(spec.kind().label())),
-            ("dataset", Value::U64(0)),
+            ("dataset", Value::U64(spec.dataset().map_or(0, |id| id.0))),
         ];
-        let root_attr_count = match spec.dataset() {
-            Some(id) => {
-                root_attrs[3] = ("dataset", Value::U64(id.0));
-                4
-            }
-            None => 3,
-        };
+        let root_attr_count = 3 + usize::from(spec.dataset().is_some());
         let root = self
             .tracer
             .open("job", SpanId::NONE, &root_attrs[..root_attr_count]);
@@ -733,12 +710,11 @@ impl PoolShared {
                 let error = JobError::RejectedByVerifier {
                     diagnostics: report.errors(),
                 };
-                let mut st = lock(&self.state);
-                let st = &mut *st;
-                st.slots.insert(job.0, Slot::Queued);
-                open_queue_lifecycle(st, &self.tracer, job, root);
-                fail_at_dispatch(st, &self.tracer, compiled, 0, error);
-                return Ok(job);
+                return Ok(self.complete_at_submit(
+                    root,
+                    failure_report(&compiled, 0, error),
+                    true,
+                ));
             }
         }
 
@@ -754,10 +730,8 @@ impl PoolShared {
             OffloadPolicy::AlwaysCim => false,
             OffloadPolicy::AlwaysHost => true,
             OffloadPolicy::CostDriven { threshold } => {
-                let host = ConventionalMachine::xeon_e5_2680();
-                let cim_system = CimSystem::paper_default();
-                let est = offload_estimate(&compiled, &host, &cim_system);
-                est.conventional_delay.0 <= threshold * compiled.envelope.latency_bound.0
+                offload_estimate(&compiled).conventional_delay.0
+                    <= threshold * compiled.envelope.latency_bound.0
             }
         };
         if host_lane {
@@ -775,85 +749,52 @@ impl PoolShared {
             self.await_inflight_budget(cost);
         }
 
+        // A fresh job that can never fit, not even on an idle pool
+        // (split across every shard if it is tile-parallel, on one whole
+        // shard otherwise), fails terminally: a synthesized report lets
+        // the caller tell it apart from retryable admission pressure.
+        let demand = compiled.demand;
+        let split = compiled.splittable && demand.analog == 0;
+        let digital_capacity = self.cfg.digital_tiles * if split { self.cfg.shards } else { 1 };
+        if compiled.dataset.is_none()
+            && (demand.digital > digital_capacity || demand.analog > self.cfg.analog_tiles)
+        {
+            let error = JobError::WorkloadTooLarge {
+                digital_required: demand.digital,
+                analog_required: demand.analog,
+                digital_capacity,
+                analog_capacity: self.cfg.analog_tiles,
+            };
+            return Ok(self.complete_at_submit(root, failure_report(&compiled, 0, error), true));
+        }
+
         // Phase 2 (locked): validate capacity against the pins as they
-        // are now, and enqueue.
+        // are now, and enqueue. Fresh leases are carved from un-pinned
+        // tiles: the job must fit the free budget of one shard — or,
+        // for a tile-parallel job, the pool's *aggregate* free budget,
+        // in which case the planner scatters it across shards and
+        // gathers the chunk results host-side. Anything else would fit
+        // once pinned datasets release their tiles: transient,
+        // retryable.
         let mut st = lock(&self.state);
         let st = &mut *st;
-        if compiled.dataset.is_none() {
-            // Fresh leases are carved from un-pinned tiles: the job
-            // must fit the free budget of one shard — or, for a
-            // tile-parallel (splittable) job, the pool's *aggregate*
-            // free budget, in which case the planner scatters it across
-            // shards and gathers the chunk results host-side.
-            let free_digital = |s: usize| self.cfg.digital_tiles - st.pinned_digital[s].len();
-            let free_analog = |s: usize| self.cfg.analog_tiles - st.pinned_analog[s].len();
-            let fits_one_shard = (0..self.cfg.shards).any(|s| {
-                compiled.demand.digital <= free_digital(s)
-                    && compiled.demand.analog <= free_analog(s)
-            });
-            if !fits_one_shard {
-                if compiled.splittable && compiled.demand.analog == 0 {
-                    let pool_capacity = self.cfg.digital_tiles * self.cfg.shards;
-                    if compiled.demand.digital > pool_capacity {
-                        // Never fits — not even split across every
-                        // shard of an idle pool. Terminal: synthesize
-                        // the failure report so the caller can tell it
-                        // apart from retryable admission pressure.
-                        let error = JobError::WorkloadTooLarge {
-                            digital_required: compiled.demand.digital,
-                            analog_required: compiled.demand.analog,
-                            digital_capacity: pool_capacity,
-                            analog_capacity: self.cfg.analog_tiles,
-                        };
-                        st.slots.insert(job.0, Slot::Queued);
-                        open_queue_lifecycle(st, &self.tracer, job, root);
-                        fail_at_dispatch(st, &self.tracer, compiled, 0, error);
-                        return Ok(job);
-                    }
-                    let pool_free: usize = (0..self.cfg.shards).map(free_digital).sum();
-                    if compiled.demand.digital > pool_free {
-                        // Would fit once pinned datasets release their
-                        // tiles: transient, retryable.
-                        return Err(reject(CompileError::NeedsMoreDigitalTiles {
-                            required: compiled.demand.digital,
-                            available: pool_free,
-                        }));
-                    }
-                    // Fits the pool's aggregate free tiles: enqueue;
-                    // the planner splits it across shards at dispatch.
-                } else {
-                    if compiled.demand.digital > self.cfg.digital_tiles
-                        || compiled.demand.analog > self.cfg.analog_tiles
-                    {
-                        // Bigger than a whole shard and not splittable:
-                        // can never fit on this pool. Terminal.
-                        let error = JobError::WorkloadTooLarge {
-                            digital_required: compiled.demand.digital,
-                            analog_required: compiled.demand.analog,
-                            digital_capacity: self.cfg.digital_tiles,
-                            analog_capacity: self.cfg.analog_tiles,
-                        };
-                        st.slots.insert(job.0, Slot::Queued);
-                        open_queue_lifecycle(st, &self.tracer, job, root);
-                        fail_at_dispatch(st, &self.tracer, compiled, 0, error);
-                        return Ok(job);
-                    }
-                    let best_digital = (0..self.cfg.shards).map(free_digital).max().unwrap_or(0);
-                    if compiled.demand.digital > best_digital {
-                        return Err(reject(CompileError::NeedsMoreDigitalTiles {
-                            required: compiled.demand.digital,
-                            available: best_digital,
-                        }));
-                    }
-                    return Err(reject(CompileError::NeedsMoreAnalogTiles {
-                        required: compiled.demand.analog,
-                        available: (0..self.cfg.shards).map(free_analog).max().unwrap_or(0),
-                    }));
-                }
+        if compiled.dataset.is_none()
+            && !(0..self.cfg.shards).any(|s| fits(demand, free_tiles(st, &self.cfg, s)))
+        {
+            if !split {
+                return Err(reject(shortfall(st, &self.cfg, demand)));
+            }
+            let pool_free: usize = (0..self.cfg.shards)
+                .map(|s| free_tiles(st, &self.cfg, s).digital)
+                .sum();
+            if demand.digital > pool_free {
+                return Err(reject(CompileError::NeedsMoreDigitalTiles {
+                    required: demand.digital,
+                    available: pool_free,
+                }));
             }
         }
-        st.slots.insert(job.0, Slot::Queued);
-        open_queue_lifecycle(st, &self.tracer, job, root);
+        open_slot(st, &self.tracer, job, root, true);
         st.inflight.insert(job.0, compiled.envelope.cost_units);
         st.inflight_total = st
             .inflight_total
@@ -867,30 +808,13 @@ impl PoolShared {
     /// Each wait iteration flushes the pending queue so in-flight work
     /// actually drains, then folds in one completion.
     fn await_inflight_budget(&self, cost: u64) {
-        let fits = |st: &PoolState| {
+        let has_room = |st: &PoolState| {
             st.inflight.is_empty()
                 || st.inflight_total.saturating_add(cost) <= self.cfg.max_inflight_cost
         };
-        loop {
-            {
-                let st = lock(&self.state);
-                if fits(&st) {
-                    return;
-                }
-            }
+        while !has_room(&lock(&self.state)) {
             self.flush();
-            let completion = {
-                let rx = lock(&self.completions);
-                {
-                    let st = lock(&self.state);
-                    if fits(&st) {
-                        return;
-                    }
-                }
-                rx.recv()
-                    .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding"))
-            };
-            self.process(completion);
+            self.pump_once(&has_room);
         }
     }
 
@@ -905,9 +829,6 @@ impl PoolShared {
         output: JobOutput,
         root: SpanId,
     ) -> Result<JobId, CompileError> {
-        let host = ConventionalMachine::xeon_e5_2680();
-        let cim_system = CimSystem::paper_default();
-        let offload = offload_estimate(&compiled, &host, &cim_system);
         let span = self.tracer.open(
             "host_execute",
             root,
@@ -915,30 +836,16 @@ impl PoolShared {
         );
         self.tracer
             .close(span, 0.0, &[("outcome", Value::Str("ok"))]);
-        let report = JobReport {
-            job: compiled.job,
-            tenant: compiled.tenant,
-            kind: compiled.kind,
-            dataset: compiled.dataset,
-            shard: 0,
-            shards: Vec::new(),
-            batch: u64::MAX,
-            route: JobRoute::Host,
-            output: Ok(output),
-            stats: ExecutionStats::default(),
-            maintenance: OperationCost::default(),
+        let offload = offload_estimate(&compiled);
+        let report = job_report(
+            identity(&compiled),
+            JobRoute::Host,
+            0,
+            Ok(output),
             offload,
-            device: DeviceCounters::default(),
-            timing: JobTiming::default(),
-        };
-        let job = compiled.job;
-        let mut st = lock(&self.state);
-        let st = &mut *st;
-        st.slots.insert(job.0, Slot::Queued);
-        open_queue_lifecycle(st, &self.tracer, job, root);
-        st.telemetry.record(&report);
-        complete_job_slot(st, &self.tracer, Box::new(report));
-        Ok(job)
+            None,
+        );
+        Ok(self.complete_at_submit(root, report, true))
     }
 
     /// Completes a submission with a terminal synthesized failure
@@ -954,43 +861,27 @@ impl PoolShared {
         root: SpanId,
         error: JobError,
     ) -> Result<JobId, CompileError> {
-        let host = ConventionalMachine::xeon_e5_2680();
-        let cim_system = CimSystem::paper_default();
-        let offload = Program::streaming(ByteSize(64), 0.5, 0.5, 0.5).estimate(&host, &cim_system);
-        let report = JobReport {
-            job,
-            tenant,
-            kind: spec.kind(),
-            dataset: spec.dataset(),
-            shard: 0,
-            shards: Vec::new(),
-            batch: u64::MAX,
-            route: JobRoute::Cim,
-            output: Err(error),
-            stats: ExecutionStats::default(),
-            maintenance: OperationCost::default(),
-            offload,
-            device: DeviceCounters::default(),
-            timing: JobTiming::default(),
-        };
-        let mut st = lock(&self.state);
-        let st = &mut *st;
-        st.slots.insert(job.0, Slot::Queued);
+        // Nothing compiled, so there is no footprint or kind profile to
+        // estimate from: a fixed 64-byte, even-odds estimate.
+        let offload = estimate(Program::streaming(ByteSize(64), 0.5, 0.5, 0.5));
+        let identity = (job, tenant, spec.kind(), spec.dataset());
+        let report = job_report(identity, JobRoute::Cim, 0, Err(error), offload, None);
         // The job never queues (it failed before compiling into a
         // stream), so its lifecycle has no queue span: the traced route
         // is job → compile → report.
-        st.lifecycles.insert(
-            job.0,
-            JobLifecycle {
-                root,
-                queue: SpanId::NONE,
-                submitted: Instant::now(),
-                dispatched: None,
-            },
-        );
+        Ok(self.complete_at_submit(root, report, false))
+    }
+
+    /// Completes a submission at once with a synthesized `report` (the
+    /// host lane, or a terminal failure): its slot opens and finishes
+    /// together, so `wait` returns the report without blocking.
+    fn complete_at_submit(&self, root: SpanId, report: JobReport, queue: bool) -> JobId {
+        let job = report.job;
+        let mut st = lock(&self.state);
+        open_slot(&mut st, &self.tracer, job, root, queue);
         st.telemetry.record(&report);
-        complete_job_slot(st, &self.tracer, Box::new(report));
-        Ok(job)
+        complete_job_slot(&mut st, &self.tracer, Box::new(report));
+        job
     }
 
     /// Compiles `spec` exactly as a submission would and runs both
@@ -1042,13 +933,7 @@ impl PoolShared {
             SpanId::NONE,
             &[("pending", Value::U64(st.pending.len() as u64))],
         );
-        let mut batches = plan(
-            &mut st,
-            &self.cfg,
-            self.cfg.coalesce,
-            self.cfg.max_batch_jobs,
-            &self.tracer,
-        );
+        let mut batches = plan(&mut st, &self.cfg, self.cfg.max_batch_jobs, &self.tracer);
         st.telemetry.batches += batches.len() as u64;
         let jobs_placed: usize = batches.iter().map(|(_, b)| b.jobs.len()).sum();
         if !batches.is_empty() {
@@ -1065,10 +950,20 @@ impl PoolShared {
         );
         mark_dispatched(&mut st, &self.tracer, &mut batches);
         for (shard, batch) in batches {
-            self.to_shards[shard]
-                .send(WorkerMsg::Batch(batch))
-                .unwrap_or_else(|_| panic!("shard worker disconnected before the pool shut down"));
+            self.send(shard, WorkerMsg::Batch(batch));
         }
+    }
+
+    /// Hands `message` to a shard's worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker is gone; workers only exit when the pool
+    /// shuts down.
+    fn send(&self, shard: usize, message: WorkerMsg) {
+        self.to_shards[shard]
+            .send(message)
+            .unwrap_or_else(|_| panic!("shard worker disconnected before the pool shut down"));
     }
 
     /// Registers a dataset: compiles its load program, pins tiles on
@@ -1100,85 +995,59 @@ impl PoolShared {
             let mut st = lock(&self.state);
             let st = &mut *st;
 
-            let free = |st: &PoolState, s: usize| {
-                (
-                    self.cfg.digital_tiles - st.pinned_digital[s].len(),
-                    self.cfg.analog_tiles - st.pinned_analog[s].len(),
-                )
-            };
             // Most-free shard that fits the whole pin, ties to the
             // lowest index: datasets spread out, leaving fresh-lease
             // headroom.
             let single = (0..self.cfg.shards)
-                .filter(|&s| {
-                    let (fd, fa) = free(st, s);
-                    demand.digital <= fd && demand.analog <= fa
-                })
+                .filter(|&s| fits(demand, free_tiles(st, &self.cfg, s)))
                 .max_by_key(|&s| {
-                    let (fd, fa) = free(st, s);
-                    (fd + fa, std::cmp::Reverse(s))
+                    let free = free_tiles(st, &self.cfg, s);
+                    (free.digital + free.analog, std::cmp::Reverse(s))
                 });
 
             // `(shard, digital tiles)` chunks in virtual tile order.
             let assignment: Vec<(usize, usize)> = match single {
                 Some(shard) => vec![(shard, demand.digital)],
                 None if demand.analog == 0 && demand.digital > 0 => {
-                    match scatter_assignment(self.cfg.shards, |s| free(st, s).0, demand.digital) {
-                        Some(chunks) => chunks,
-                        None => {
-                            // Transient: the pool-wide *capacity* was
-                            // already validated at compile time
-                            // (`DatasetTooLarge` otherwise); only
-                            // current pins stand in the way.
-                            return Err(CompileError::NeedsMoreDigitalTiles {
-                                required: demand.digital,
-                                available: (0..self.cfg.shards).map(|s| free(st, s).0).sum(),
-                            });
-                        }
-                    }
-                }
-                None => {
-                    let best_digital = (0..self.cfg.shards)
-                        .map(|s| free(st, s).0)
-                        .max()
-                        .unwrap_or(0);
-                    if demand.digital > best_digital {
-                        return Err(CompileError::NeedsMoreDigitalTiles {
+                    let free_digital = |s| free_tiles(st, &self.cfg, s).digital;
+                    scatter_assignment(self.cfg.shards, free_digital, demand.digital).ok_or_else(
+                        // Transient: the pool-wide *capacity* was
+                        // already validated at compile time
+                        // (`DatasetTooLarge` otherwise); only current
+                        // pins stand in the way.
+                        || CompileError::NeedsMoreDigitalTiles {
                             required: demand.digital,
-                            available: best_digital,
-                        });
-                    }
-                    return Err(CompileError::NeedsMoreAnalogTiles {
-                        required: demand.analog,
-                        available: (0..self.cfg.shards)
-                            .map(|s| free(st, s).1)
-                            .max()
-                            .unwrap_or(0),
-                    });
+                            available: (0..self.cfg.shards).map(free_digital).sum(),
+                        },
+                    )?
                 }
+                None => return Err(shortfall(st, &self.cfg, demand)),
             };
 
             // Split the load program into per-shard chunks, pin and
             // relocate each onto its shard's free tiles.
-            let sizes: Vec<usize> = assignment.iter().map(|&(_, n)| n).collect();
             let chunk_programs = if assignment.len() == 1 {
                 vec![instructions]
             } else {
-                split_load_by_tile(&instructions, &sizes)
+                let sizes: Vec<usize> = assignment.iter().map(|&(_, n)| n).collect();
+                split_stream(&instructions, &[], &sizes)
+                    .into_iter()
+                    .map(|(chunk, _)| chunk)
+                    .collect()
             };
             let mut placements = Vec::with_capacity(assignment.len());
             let mut sends = Vec::with_capacity(assignment.len());
             for ((shard, digital_chunk), chunk_instructions) in
                 assignment.iter().copied().zip(chunk_programs)
             {
-                let digital_tiles: Vec<usize> = (0..self.cfg.digital_tiles)
-                    .filter(|t| !st.pinned_digital[shard].contains(t))
-                    .take(digital_chunk)
-                    .collect();
-                let analog_tiles: Vec<usize> = (0..self.cfg.analog_tiles)
-                    .filter(|t| !st.pinned_analog[shard].contains(t))
-                    .take(demand.analog)
-                    .collect();
+                let digital_tiles: Vec<usize> =
+                    unpinned(&st.pinned_digital[shard], self.cfg.digital_tiles)
+                        .take(digital_chunk)
+                        .collect();
+                let analog_tiles: Vec<usize> =
+                    unpinned(&st.pinned_analog[shard], self.cfg.analog_tiles)
+                        .take(demand.analog)
+                        .collect();
                 st.pinned_digital[shard].extend(digital_tiles.iter().copied());
                 st.pinned_analog[shard].extend(analog_tiles.iter().copied());
 
@@ -1186,18 +1055,7 @@ impl PoolShared {
                     Ok(relocated) => relocated,
                     Err(_) => unreachable!("load program stays inside its demand"),
                 };
-                let scrub_rows: Vec<(usize, usize)> = relocated
-                    .iter()
-                    .flat_map(|i| match i {
-                        CimInstruction::WriteRow { tile, row, .. } => vec![(*tile, *row)],
-                        // A key write pulses both rows of the entry's
-                        // row pair; release must scrub them both.
-                        CimInstruction::WriteKey { tile, slot, .. } => {
-                            vec![(*tile, 2 * slot), (*tile, 2 * slot + 1)]
-                        }
-                        _ => vec![],
-                    })
-                    .collect();
+                let scrub_rows = written_rows(&relocated).collect();
                 placements.push(ShardPlacement {
                     shard,
                     digital_tiles,
@@ -1248,16 +1106,13 @@ impl PoolShared {
                 },
             );
             for (shard, instructions) in sends {
-                self.to_shards[shard]
-                    .send(WorkerMsg::LoadDataset {
-                        id,
-                        instructions,
-                        seed,
-                        span,
-                    })
-                    .unwrap_or_else(|_| {
-                        panic!("shard worker disconnected before the pool shut down")
-                    });
+                let load = WorkerMsg::LoadDataset {
+                    id,
+                    instructions,
+                    seed,
+                    span,
+                };
+                self.send(shard, load);
             }
             shards
         };
@@ -1407,43 +1262,43 @@ impl PoolShared {
         }
     }
 
-    /// Pumps completions until `done(&state)` holds. Safe against
-    /// concurrent pumpers: the predicate is re-checked while holding
-    /// the completions lock, so a completion that another thread
-    /// consumed between the unlocked check and the blocking `recv`
-    /// cannot strand this waiter — once it holds the receiver lock, it
-    /// is the only thread that can consume completions.
-    ///
-    /// A received completion is folded in before the receiver lock is
-    /// released (as [`PoolShared::try_pump`] does; lock order
-    /// completions → state). Releasing it first would let another waiter
-    /// take the receiver, see its job not yet done because the
-    /// completion is still in this thread's hands, and block in `recv`
-    /// with nothing left in flight.
+    /// Pumps completions until `done(&state)` holds.
     ///
     /// # Panics
     ///
     /// Panics if the pool shuts down before the predicate holds.
     fn pump_until(&self, done: impl Fn(&PoolState) -> bool) {
-        loop {
-            {
-                let st = lock(&self.state);
-                if done(&st) {
-                    return;
-                }
-            }
-            let rx = lock(&self.completions);
-            {
-                let st = lock(&self.state);
-                if done(&st) {
-                    return;
-                }
-            }
-            let completion = rx
-                .recv()
-                .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding"));
-            self.process(completion);
+        while !done(&lock(&self.state)) {
+            self.pump_once(&done);
         }
+    }
+
+    /// One step of the completion pump, shared by every blocking
+    /// waiter: take the receiver, re-check `done` under it, and
+    /// otherwise receive one completion and fold it in *before*
+    /// releasing the receiver (as [`PoolShared::try_pump`] does; lock
+    /// order completions → state).
+    ///
+    /// The re-check means a completion another thread consumed between
+    /// the caller's unlocked check and this `recv` cannot strand the
+    /// caller: while it holds the receiver, no other thread consumes
+    /// completions. Folding in before releasing means a waiter that
+    /// takes the receiver next can never see its job not yet done while
+    /// the completion is still in this thread's hands, and block in
+    /// `recv` with nothing left in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool shuts down while the caller still waits.
+    fn pump_once(&self, done: &impl Fn(&PoolState) -> bool) {
+        let rx = lock(&self.completions);
+        if done(&lock(&self.state)) {
+            return;
+        }
+        let completion = rx
+            .recv()
+            .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding"));
+        self.process(completion);
     }
 
     /// Folds in every completion that already arrived, without
@@ -1489,12 +1344,7 @@ impl PoolShared {
     /// Panics if the pool was dropped before the report arrived.
     pub(crate) fn wait_job(&self, job: JobId) -> JobReport {
         self.flush();
-        self.pump_until(|st| {
-            !matches!(
-                st.slots.get(&job.0),
-                Some(Slot::Queued) | Some(Slot::Dispatched)
-            )
-        });
+        self.pump_until(|st| job_settled(st, job));
         self.try_take_done(job).unwrap_or_else(|| {
             panic!("the waited job's slot holds its report (handles are the sole takers)")
         })
@@ -1540,10 +1390,18 @@ fn resolve_dataset(
     Ok(Some(record.view()))
 }
 
-/// Opens the job's queue span and records its lifecycle entry — the
-/// common admission tail of every path that creates a queued slot.
-fn open_queue_lifecycle(st: &mut PoolState, tracer: &Tracer, job: JobId, root: SpanId) {
-    let queue = tracer.open("queue", root, &[]);
+/// Creates a submitted job's slot and its lifecycle entry — the
+/// admission step of every submission that returns a handle. `queue`
+/// opens the job's queue span; a job that failed before compiling into
+/// a stream never queues, so its traced route is job → compile →
+/// report.
+fn open_slot(st: &mut PoolState, tracer: &Tracer, job: JobId, root: SpanId, queue: bool) {
+    st.slots.insert(job.0, Slot::Queued);
+    let queue = if queue {
+        tracer.open("queue", root, &[])
+    } else {
+        SpanId::NONE
+    };
     st.lifecycles.insert(
         job.0,
         JobLifecycle {
@@ -1553,6 +1411,15 @@ fn open_queue_lifecycle(st: &mut PoolState, tracer: &Tracer, job: JobId, root: S
             dispatched: None,
         },
     );
+}
+
+/// Whether a job has left the queue: its report is ready, taken or
+/// discarded.
+fn job_settled(st: &PoolState, job: JobId) -> bool {
+    !matches!(
+        st.slots.get(&job.0),
+        Some(Slot::Queued) | Some(Slot::Dispatched)
+    )
 }
 
 /// Marks every planned job as dispatched; stamps
@@ -1574,70 +1441,114 @@ fn mark_dispatched(st: &mut PoolState, tracer: &Tracer, batches: &mut [(usize, B
                     lc.queue = SpanId::NONE;
                 }
                 placed.root = lc.root;
-                let mut attrs: [Attr; 3] = [
+                let attrs: [Attr; 3] = [
                     ("shard", Value::U64(*shard as u64)),
                     ("batch", Value::U64(batch_id)),
-                    ("part", Value::U64(0)),
+                    ("part", Value::U64(placed.part.map_or(0, u64::from))),
                 ];
-                let count = match placed.part {
-                    Some(part) => {
-                        attrs[2] = ("part", Value::U64(part as u64));
-                        3
-                    }
-                    None => 2,
-                };
+                let count = 2 + usize::from(placed.part.is_some());
                 placed.dispatch = tracer.open("dispatch", lc.root, &attrs[..count]);
             }
         }
     }
 }
 
+/// The analytical host-vs-CIM estimate of a program: the paper's Xeon
+/// host against its CIM system (the `cim-arch` §II-C models).
+fn estimate(program: Program) -> OffloadEstimate {
+    program.estimate(
+        &ConventionalMachine::xeon_e5_2680(),
+        &CimSystem::paper_default(),
+    )
+}
+
 /// The analytical host-vs-CIM estimate of a compiled job.
-fn offload_estimate(
-    compiled: &CompiledJob,
-    host: &ConventionalMachine,
-    cim_system: &CimSystem,
-) -> OffloadEstimate {
+fn offload_estimate(compiled: &CompiledJob) -> OffloadEstimate {
     let profile = compiled.kind.host_profile();
-    Program::streaming(
+    estimate(Program::streaming(
         ByteSize(compiled.resident_bytes.max(64)),
         profile.accel_fraction,
         profile.l1_miss,
         profile.l2_miss,
-    )
-    .estimate(host, cim_system)
+    ))
 }
 
-/// Fails a job at dispatch time (no shard ever saw it): synthesizes its
-/// report, completes its slot and records telemetry.
-fn fail_at_dispatch(
-    st: &mut PoolState,
-    tracer: &Tracer,
-    compiled: CompiledJob,
+/// Who a report is about: the job, its tenant, its workload kind and
+/// the dataset it queried.
+type JobIdentity = (JobId, TenantId, JobKind, Option<DatasetId>);
+
+fn identity(compiled: &CompiledJob) -> JobIdentity {
+    (
+        compiled.job,
+        compiled.tenant,
+        compiled.kind,
+        compiled.dataset,
+    )
+}
+
+/// What the shards measured for a job: where it ran and what it cost.
+struct Measured {
+    shards: Vec<usize>,
+    batch: u64,
+    stats: ExecutionStats,
+    maintenance: OperationCost,
+    device: DeviceCounters,
+}
+
+/// Builds a [`JobReport`]; every report the pool produces comes from
+/// here. A job no device ran (`measured` is `None`: host-routed, or
+/// failed before reaching a shard) reports no shards, no batch
+/// (`u64::MAX`) and zero stats, device counters and maintenance.
+fn job_report(
+    (job, tenant, kind, dataset): JobIdentity,
+    route: JobRoute,
     shard: usize,
-    error: JobError,
-) {
-    let host = ConventionalMachine::xeon_e5_2680();
-    let cim_system = CimSystem::paper_default();
-    let offload = offload_estimate(&compiled, &host, &cim_system);
-    let report = JobReport {
-        job: compiled.job,
-        tenant: compiled.tenant,
-        kind: compiled.kind,
-        dataset: compiled.dataset,
-        shard,
+    output: Result<JobOutput, JobError>,
+    offload: OffloadEstimate,
+    measured: Option<Measured>,
+) -> JobReport {
+    let Measured {
+        shards,
+        batch,
+        stats,
+        maintenance,
+        device,
+    } = measured.unwrap_or_else(|| Measured {
         shards: Vec::new(),
         batch: u64::MAX,
-        route: JobRoute::Cim,
-        output: Err(error),
         stats: ExecutionStats::default(),
         maintenance: OperationCost::default(),
-        offload,
         device: DeviceCounters::default(),
+    });
+    JobReport {
+        job,
+        tenant,
+        kind,
+        dataset,
+        shard,
+        shards,
+        batch,
+        route,
+        output,
+        stats,
+        maintenance,
+        offload,
+        device,
         timing: JobTiming::default(),
-    };
-    st.telemetry.record(&report);
-    complete_job_slot(st, tracer, Box::new(report));
+    }
+}
+
+/// The report of a compiled job that failed before reaching a shard.
+fn failure_report(compiled: &CompiledJob, shard: usize, error: JobError) -> JobReport {
+    let offload = offload_estimate(compiled);
+    job_report(
+        identity(compiled),
+        JobRoute::Cim,
+        shard,
+        Err(error),
+        offload,
+        None,
+    )
 }
 
 /// Moves a finished report into its slot (or discards it if the handle
@@ -1693,22 +1604,25 @@ fn assemble_gathered(gather: GatherState) -> (JobReport, Vec<(usize, ExecutionSt
         offload,
         ..
     } = gather;
-    let mut meta: Option<(JobId, TenantId, crate::job::JobKind, Option<DatasetId>, u64)> = None;
-    let mut stats = ExecutionStats::default();
-    let mut maintenance = OperationCost::default();
-    let mut device = DeviceCounters::default();
-    let mut shards = Vec::with_capacity(parts.len());
+    let Some(first) = parts.values().next() else {
+        unreachable!("a gather holds at least one part");
+    };
+    let identity = (first.job, first.tenant, first.kind, first.dataset);
+    let mut measured = Measured {
+        shards: Vec::with_capacity(parts.len()),
+        batch: first.batch,
+        stats: ExecutionStats::default(),
+        maintenance: OperationCost::default(),
+        device: DeviceCounters::default(),
+    };
     let mut shard_stats = Vec::with_capacity(parts.len());
     let mut responses = Vec::new();
     let mut error: Option<JobError> = None;
     for part in parts.into_values() {
-        if meta.is_none() {
-            meta = Some((part.job, part.tenant, part.kind, part.dataset, part.batch));
-        }
-        stats_accumulate(&mut stats, &part.stats);
-        maintenance = maintenance.then(part.maintenance);
-        device.accumulate(&part.device);
-        shards.push(part.shard);
+        stats_accumulate(&mut measured.stats, &part.stats);
+        measured.maintenance = measured.maintenance.then(part.maintenance);
+        measured.device.accumulate(&part.device);
+        measured.shards.push(part.shard);
         shard_stats.push((part.shard, part.stats));
         match part.output {
             Ok(JobOutput::Responses(mut chunk)) => responses.append(&mut chunk),
@@ -1718,40 +1632,134 @@ fn assemble_gathered(gather: GatherState) -> (JobReport, Vec<(usize, ExecutionSt
             }
         }
     }
-    let Some((job, tenant, kind, dataset, batch)) = meta else {
-        unreachable!("a gather holds at least one part");
-    };
     let output = match error {
         Some(e) => Err(e),
         None => Ok(finalizer.finalize(responses)),
     };
-    let report = JobReport {
-        job,
-        tenant,
-        kind,
-        dataset,
-        shard: shards[0],
-        shards: shards.clone(),
-        batch,
-        route: JobRoute::Cim,
+    let shard = measured.shards[0];
+    let report = job_report(
+        identity,
+        JobRoute::Cim,
+        shard,
         output,
-        stats,
-        maintenance,
         offload,
-        device,
-        timing: JobTiming::default(),
-    };
+        Some(measured),
+    );
     (report, shard_stats)
 }
+
+/// Free (un-pinned) tiles of `shard`, per family.
+fn free_tiles(st: &PoolState, cfg: &PoolConfig, shard: usize) -> TileDemand {
+    TileDemand {
+        digital: cfg.digital_tiles - st.pinned_digital[shard].len(),
+        analog: cfg.analog_tiles - st.pinned_analog[shard].len(),
+    }
+}
+
+/// Whether `demand` fits in `free` tiles.
+fn fits(demand: TileDemand, free: TileDemand) -> bool {
+    demand.digital <= free.digital && demand.analog <= free.analog
+}
+
+/// Tile indices below `tiles` that `pinned` does not hold, ascending.
+fn unpinned(pinned: &BTreeSet<usize>, tiles: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..tiles).filter(move |t| !pinned.contains(t))
+}
+
+/// The retryable shortfall of a demand that no single shard's free
+/// tiles hold: digital tiles if even the shard with the most free
+/// digital tiles lacks them, analog tiles otherwise.
+fn shortfall(st: &PoolState, cfg: &PoolConfig, demand: TileDemand) -> CompileError {
+    let most_free = |family: fn(TileDemand) -> usize| {
+        (0..cfg.shards)
+            .map(|s| family(free_tiles(st, cfg, s)))
+            .max()
+            .unwrap_or(0)
+    };
+    let best_digital = most_free(|free| free.digital);
+    if demand.digital > best_digital {
+        return CompileError::NeedsMoreDigitalTiles {
+            required: demand.digital,
+            available: best_digital,
+        };
+    }
+    CompileError::NeedsMoreAnalogTiles {
+        required: demand.analog,
+        available: most_free(|free| free.analog),
+    }
+}
+
+/// Physical digital and analog tiles of each virtual tile.
+type TileMaps = (Vec<usize>, Vec<usize>);
 
 /// A pending job routed to its shard, with pinned tile maps resolved
 /// for dataset jobs.
 struct RoutedJob {
     compiled: CompiledJob,
     /// `Some` for dataset jobs: the dataset's pinned physical tiles.
-    pinned: Option<(Vec<usize>, Vec<usize>)>,
+    pinned: Option<TileMaps>,
     /// `Some(index)` for one sub-program of a cross-shard split job.
     part: Option<u32>,
+}
+
+/// Per-shard queues of routed jobs and their estimated loads, built by
+/// the routing step of [`plan`].
+struct Routing {
+    queues: Vec<Vec<RoutedJob>>,
+    loads: Vec<u64>,
+}
+
+impl Routing {
+    /// Queues `job` on `shard`, adding its estimated cost to the
+    /// shard's load.
+    fn push(&mut self, shard: usize, job: RoutedJob) {
+        self.loads[shard] += job.compiled.estimated_cost();
+        self.queues[shard].push(job);
+    }
+
+    /// The least-loaded of `shards`, ties to the lowest index.
+    fn least_loaded(&self, shards: impl Iterator<Item = usize>) -> Option<usize> {
+        shards.min_by_key(|&s| (self.loads[s], s))
+    }
+
+    /// Scatters a digital-tile-parallel job into one sub-program per
+    /// `(shard, tiles, pinned maps)` target, in virtual-tile order, and
+    /// registers the gather state that reassembles its single report.
+    fn split(
+        &mut self,
+        st: &mut PoolState,
+        cfg: &PoolConfig,
+        job: CompiledJob,
+        targets: Vec<(usize, usize, Option<TileMaps>)>,
+    ) {
+        let sizes: Vec<usize> = targets.iter().map(|&(_, tiles, _)| tiles).collect();
+        let parts = split_by_digital_tile(&job, &sizes, cfg);
+        // The parent's root span: gather/finalize spans open under it
+        // once parts arrive.
+        let root = st
+            .lifecycles
+            .get(&job.job.0)
+            .map_or(SpanId::NONE, |lc| lc.root);
+        st.gathers.insert(
+            job.job.0,
+            GatherState {
+                expected: parts.len(),
+                parts: BTreeMap::new(),
+                finalizer: job.finalizer.clone(),
+                offload: offload_estimate(&job),
+                root,
+                span: SpanId::NONE,
+            },
+        );
+        for (index, (part, (shard, _, pinned))) in parts.into_iter().zip(targets).enumerate() {
+            let routed = RoutedJob {
+                compiled: part,
+                pinned,
+                part: Some(index as u32),
+            };
+            self.push(shard, routed);
+        }
+    }
 }
 
 /// Greedy digital-tile scatter used by both dataset pins and fresh-job
@@ -1782,45 +1790,51 @@ fn scatter_assignment(
     (remaining == 0).then_some(assignment)
 }
 
-/// Registers gather state for a job about to scatter into `expected`
-/// sub-programs across shards. `root` is the parent job's root span
-/// (gather/finalize spans open under it once parts arrive).
-fn register_gather(
-    gathers: &mut BTreeMap<u64, GatherState>,
-    parent: &CompiledJob,
-    expected: usize,
-    root: SpanId,
-) {
-    let host = ConventionalMachine::xeon_e5_2680();
-    let cim_system = CimSystem::paper_default();
-    gathers.insert(
-        parent.job.0,
-        GatherState {
-            expected,
-            parts: BTreeMap::new(),
-            finalizer: parent.finalizer.clone(),
-            offload: offload_estimate(parent, &host, &cim_system),
-            root,
-            span: SpanId::NONE,
-        },
-    );
+/// Leases a routed job its tiles: a dataset job keeps its pinned maps,
+/// a fresh job takes the next free tiles after `used`, advancing it.
+fn place(
+    routed: RoutedJob,
+    free_digital: &[usize],
+    free_analog: &[usize],
+    used: &mut TileDemand,
+) -> PlacedJob {
+    let need = routed.compiled.demand;
+    let (digital_map, analog_map) = routed.pinned.unwrap_or_else(|| {
+        let maps = (
+            free_digital[used.digital..used.digital + need.digital].to_vec(),
+            free_analog[used.analog..used.analog + need.analog].to_vec(),
+        );
+        used.digital += need.digital;
+        used.analog += need.analog;
+        maps
+    });
+    PlacedJob {
+        compiled: routed.compiled,
+        digital_map,
+        analog_map,
+        part: routed.part,
+        root: SpanId::NONE,
+        dispatch: SpanId::NONE,
+    }
 }
 
 /// Plans the pending queue: deterministic shard selection, cost-aware
 /// batch packing over free (un-pinned) tiles, shortest-job-first
 /// ordering — and cross-shard scatter for jobs (or dataset queries)
-/// whose tiles span more than one shard. Returns `(shard, batch)` pairs
-/// in dispatch order.
+/// whose tiles span more than one shard. Batches hold at most
+/// `max_batch_jobs` jobs; `1` is the no-coalescing schedule. Returns
+/// `(shard, batch)` pairs in dispatch order.
 fn plan(
     st: &mut PoolState,
     cfg: &PoolConfig,
-    coalesce: bool,
     max_batch_jobs: usize,
     tracer: &Tracer,
 ) -> Vec<(usize, Batch)> {
     let max_batch_jobs = max_batch_jobs.max(1);
-    let mut shard_queues: Vec<Vec<RoutedJob>> = (0..cfg.shards).map(|_| Vec::new()).collect();
-    let mut loads = vec![0u64; cfg.shards];
+    let mut routing = Routing {
+        queues: (0..cfg.shards).map(|_| Vec::new()).collect(),
+        loads: vec![0; cfg.shards],
+    };
     let mut failures: Vec<(CompiledJob, usize, JobError)> = Vec::new();
 
     // 1. Route jobs to shards, in job-id order so the plan is a pure
@@ -1833,15 +1847,15 @@ fn plan(
             Some(id) => match st.datasets.get(&id.0).filter(|r| !r.released) {
                 Some(record) if record.placements.len() == 1 => {
                     let placement = &record.placements[0];
-                    loads[placement.shard] += job.estimated_cost();
-                    shard_queues[placement.shard].push(RoutedJob {
+                    let routed = RoutedJob {
                         pinned: Some((
                             placement.digital_tiles.clone(),
                             placement.analog_tiles.clone(),
                         )),
                         part: None,
                         compiled: job,
-                    });
+                    };
+                    routing.push(placement.shard, routed);
                 }
                 Some(record) if !job.splittable || job.demand.analog != 0 => {
                     // A query that cannot be tile-split against a
@@ -1867,30 +1881,15 @@ fn plan(
                     // The dataset spans shards: scatter the query so
                     // each chunk of reductions runs on the shard
                     // pinning its tiles, gathered host-side.
-                    let chunks: Vec<usize> = record
+                    let targets = record
                         .placements
                         .iter()
-                        .map(|p| p.digital_tiles.len())
+                        .map(|p| {
+                            let maps = (p.digital_tiles.clone(), p.analog_tiles.clone());
+                            (p.shard, p.digital_tiles.len(), Some(maps))
+                        })
                         .collect();
-                    let parts = split_by_digital_tile(&job, &chunks, cfg);
-                    let root = st
-                        .lifecycles
-                        .get(&job.job.0)
-                        .map_or(SpanId::NONE, |lc| lc.root);
-                    register_gather(&mut st.gathers, &job, parts.len(), root);
-                    for (index, (part, placement)) in
-                        parts.into_iter().zip(&record.placements).enumerate()
-                    {
-                        loads[placement.shard] += part.estimated_cost();
-                        shard_queues[placement.shard].push(RoutedJob {
-                            pinned: Some((
-                                placement.digital_tiles.clone(),
-                                placement.analog_tiles.clone(),
-                            )),
-                            part: Some(index as u32),
-                            compiled: part,
-                        });
-                    }
+                    routing.split(st, cfg, job, targets);
                 }
                 None => {
                     let shard = st.datasets.get(&id.0).map_or(0, |r| r.primary_shard());
@@ -1905,128 +1904,82 @@ fn plan(
                 // submit-time validation), fall back to the
                 // least-loaded shard and let packing fail the job
                 // cleanly with `AdmissionFailed`.
-                let free_digital = |s: usize| cfg.digital_tiles - st.pinned_digital[s].len();
-                let fits = |s: usize| {
-                    job.demand.digital <= free_digital(s)
-                        && job.demand.analog <= cfg.analog_tiles - st.pinned_analog[s].len()
-                };
-                if let Some(shard) = (0..cfg.shards)
-                    .filter(|&s| fits(s))
-                    .min_by_key(|&s| (loads[s], s))
-                {
-                    loads[shard] += job.estimated_cost();
-                    shard_queues[shard].push(RoutedJob {
-                        compiled: job,
-                        pinned: None,
-                        part: None,
-                    });
-                    continue;
-                }
-                if job.splittable && job.demand.analog == 0 {
-                    if let Some(assignment) =
-                        scatter_assignment(cfg.shards, free_digital, job.demand.digital)
-                    {
-                        let sizes: Vec<usize> = assignment.iter().map(|&(_, n)| n).collect();
-                        let parts = split_by_digital_tile(&job, &sizes, cfg);
-                        let root = st
-                            .lifecycles
-                            .get(&job.job.0)
-                            .map_or(SpanId::NONE, |lc| lc.root);
-                        register_gather(&mut st.gathers, &job, parts.len(), root);
-                        for (index, (part, &(shard, _))) in
-                            parts.into_iter().zip(&assignment).enumerate()
-                        {
-                            loads[shard] += part.estimated_cost();
-                            shard_queues[shard].push(RoutedJob {
-                                compiled: part,
-                                pinned: None,
-                                part: Some(index as u32),
-                            });
+                let fitting = (0..cfg.shards).filter(|&s| fits(job.demand, free_tiles(st, cfg, s)));
+                let shard = match routing.least_loaded(fitting) {
+                    Some(shard) => shard,
+                    None if job.splittable && job.demand.analog == 0 => {
+                        let free_digital = |s| free_tiles(st, cfg, s).digital;
+                        match scatter_assignment(cfg.shards, free_digital, job.demand.digital) {
+                            Some(assignment) => {
+                                let targets = assignment
+                                    .into_iter()
+                                    .map(|(shard, tiles)| (shard, tiles, None))
+                                    .collect();
+                                routing.split(st, cfg, job, targets);
+                            }
+                            None => {
+                                // Pool-wide free shrank since submit
+                                // validation: fail cleanly, like the
+                                // single-shard path below.
+                                let error = JobError::AdmissionFailed {
+                                    digital_required: job.demand.digital,
+                                    digital_free: (0..cfg.shards).map(free_digital).sum(),
+                                    analog_required: 0,
+                                    analog_free: 0,
+                                };
+                                failures.push((job, 0, error));
+                            }
                         }
                         continue;
                     }
-                    // Pool-wide free shrank since submit validation:
-                    // fail cleanly, like the single-shard path below.
-                    let pool_free = (0..cfg.shards).map(free_digital).sum::<usize>();
-                    let error = JobError::AdmissionFailed {
-                        digital_required: job.demand.digital,
-                        digital_free: pool_free,
-                        analog_required: 0,
-                        analog_free: 0,
-                    };
-                    failures.push((job, 0, error));
-                    continue;
-                }
-                let shard = (0..cfg.shards)
-                    .min_by_key(|&s| (loads[s], s))
-                    .unwrap_or_else(|| unreachable!("at least one shard"));
-                loads[shard] += job.estimated_cost();
-                shard_queues[shard].push(RoutedJob {
+                    None => routing
+                        .least_loaded(0..cfg.shards)
+                        .unwrap_or_else(|| unreachable!("at least one shard")),
+                };
+                let routed = RoutedJob {
                     compiled: job,
                     pinned: None,
                     part: None,
-                });
+                };
+                routing.push(shard, routed);
             }
         }
     }
 
     // 2. Pack per-shard batches.
     let mut out = Vec::new();
-    for (shard, mut queue) in shard_queues.into_iter().enumerate() {
-        let free_digital: Vec<usize> = (0..cfg.digital_tiles)
-            .filter(|t| !st.pinned_digital[shard].contains(t))
-            .collect();
-        let free_analog: Vec<usize> = (0..cfg.analog_tiles)
-            .filter(|t| !st.pinned_analog[shard].contains(t))
-            .collect();
+    for (shard, mut queue) in routing.queues.into_iter().enumerate() {
+        let free_digital: Vec<usize> =
+            unpinned(&st.pinned_digital[shard], cfg.digital_tiles).collect();
+        let free_analog: Vec<usize> =
+            unpinned(&st.pinned_analog[shard], cfg.analog_tiles).collect();
+        let free = TileDemand {
+            digital: free_digital.len(),
+            analog: free_analog.len(),
+        };
         let mut shard_batches: Vec<(u64, Vec<PlacedJob>)> = Vec::new();
         while !queue.is_empty() {
             let first = queue.remove(0);
-            let kind = first.compiled.kind;
-            let dataset = first.compiled.dataset;
+            let (kind, dataset) = (first.compiled.kind, first.compiled.dataset);
+            let need = first.compiled.demand;
+            // Dataset jobs share the pinned tiles; fresh jobs consume
+            // the free-tile budget.
+            if first.pinned.is_none() && !fits(need, free) {
+                failures.push((
+                    first.compiled,
+                    shard,
+                    JobError::AdmissionFailed {
+                        digital_required: need.digital,
+                        digital_free: free.digital,
+                        analog_required: need.analog,
+                        analog_free: free.analog,
+                    },
+                ));
+                continue;
+            }
             let mut batch_cost = first.compiled.estimated_cost();
-            let mut jobs = Vec::new();
-
-            let (mut digital_used, mut analog_used) = match first.pinned {
-                Some((digital_map, analog_map)) => {
-                    jobs.push(PlacedJob {
-                        compiled: first.compiled,
-                        digital_map,
-                        analog_map,
-                        part: first.part,
-                        root: SpanId::NONE,
-                        dispatch: SpanId::NONE,
-                    });
-                    // Dataset jobs share the pinned tiles; no free-tile
-                    // budget is consumed.
-                    (0, 0)
-                }
-                None => {
-                    let need = first.compiled.demand;
-                    if need.digital > free_digital.len() || need.analog > free_analog.len() {
-                        failures.push((
-                            first.compiled,
-                            shard,
-                            JobError::AdmissionFailed {
-                                digital_required: need.digital,
-                                digital_free: free_digital.len(),
-                                analog_required: need.analog,
-                                analog_free: free_analog.len(),
-                            },
-                        ));
-                        continue;
-                    }
-                    jobs.push(PlacedJob {
-                        compiled: first.compiled,
-                        digital_map: free_digital[..need.digital].to_vec(),
-                        analog_map: free_analog[..need.analog].to_vec(),
-                        part: first.part,
-                        root: SpanId::NONE,
-                        dispatch: SpanId::NONE,
-                    });
-                    (need.digital, need.analog)
-                }
-            };
+            let mut used = TileDemand::default();
+            let mut jobs = vec![place(first, &free_digital, &free_analog, &mut used)];
 
             // Coalesce compatible jobs from anywhere in the shard
             // queue, preserving their relative order. Jobs are
@@ -2034,55 +1987,23 @@ fn plan(
             // streams, exclusive or serially-shared leases), so
             // pulling a same-kind job forward cannot change any
             // result.
-            if coalesce {
-                let mut i = 0;
-                while jobs.len() < max_batch_jobs && i < queue.len() {
-                    let candidate = &queue[i];
-                    let compatible = candidate.compiled.kind == kind
-                        && candidate.compiled.dataset == dataset
-                        && batch_cost + candidate.compiled.estimated_cost() <= cfg.max_batch_cost;
-                    let fits = if dataset.is_some() {
-                        compatible
-                    } else {
-                        compatible
-                            && digital_used + candidate.compiled.demand.digital
-                                <= free_digital.len()
-                            && analog_used + candidate.compiled.demand.analog <= free_analog.len()
-                    };
-                    if fits {
-                        let routed = queue.remove(i);
-                        batch_cost += routed.compiled.estimated_cost();
-                        let placed = match routed.pinned {
-                            Some((digital_map, analog_map)) => PlacedJob {
-                                compiled: routed.compiled,
-                                digital_map,
-                                analog_map,
-                                part: routed.part,
-                                root: SpanId::NONE,
-                                dispatch: SpanId::NONE,
-                            },
-                            None => {
-                                let need = routed.compiled.demand;
-                                let placed = PlacedJob {
-                                    digital_map: free_digital
-                                        [digital_used..digital_used + need.digital]
-                                        .to_vec(),
-                                    analog_map: free_analog[analog_used..analog_used + need.analog]
-                                        .to_vec(),
-                                    part: routed.part,
-                                    compiled: routed.compiled,
-                                    root: SpanId::NONE,
-                                    dispatch: SpanId::NONE,
-                                };
-                                digital_used += need.digital;
-                                analog_used += need.analog;
-                                placed
-                            }
-                        };
-                        jobs.push(placed);
-                    } else {
-                        i += 1;
-                    }
+            let mut i = 0;
+            while jobs.len() < max_batch_jobs && i < queue.len() {
+                let candidate = &queue[i].compiled;
+                let with_candidate = TileDemand {
+                    digital: used.digital + candidate.demand.digital,
+                    analog: used.analog + candidate.demand.analog,
+                };
+                let joins = candidate.kind == kind
+                    && candidate.dataset == dataset
+                    && batch_cost + candidate.estimated_cost() <= cfg.max_batch_cost
+                    && (dataset.is_some() || fits(with_candidate, free));
+                if joins {
+                    let routed = queue.remove(i);
+                    batch_cost += routed.compiled.estimated_cost();
+                    jobs.push(place(routed, &free_digital, &free_analog, &mut used));
+                } else {
+                    i += 1;
                 }
             }
 
@@ -2114,7 +2035,9 @@ fn plan(
     }
 
     for (compiled, shard, error) in failures {
-        fail_at_dispatch(st, tracer, compiled, shard, error);
+        let report = failure_report(&compiled, shard, error);
+        st.telemetry.record(&report);
+        complete_job_slot(st, tracer, Box::new(report));
     }
     out
 }
@@ -2130,48 +2053,46 @@ fn relocate(
     digital_map: &[usize],
     analog_map: &[usize],
 ) -> Result<Vec<CimInstruction>, JobError> {
-    let digital = |tile: usize| -> Result<usize, JobError> {
-        digital_map.get(tile).copied().ok_or(JobError::TileFault {
-            virtual_tile: tile,
-            granted: digital_map.len(),
-            analog: false,
-        })
-    };
-    let analog = |tile: usize| -> Result<usize, JobError> {
-        analog_map.get(tile).copied().ok_or(JobError::TileFault {
-            virtual_tile: tile,
-            granted: analog_map.len(),
-            analog: true,
-        })
-    };
     let mut have_bits = false;
     for (index, instr) in instructions.iter_mut().enumerate() {
         match instr {
-            CimInstruction::WriteRow { tile, .. } => *tile = digital(*tile)?,
-            CimInstruction::WriteKey { tile, .. } => *tile = digital(*tile)?,
             // Match sets are entry-indexed, not tile-width: the
             // accelerator never latches them as a `StoreLast` operand.
-            CimInstruction::MatchSearch { tile, .. } => *tile = digital(*tile)?,
-            CimInstruction::ReadRow { tile, .. } => {
-                have_bits = true;
-                *tile = digital(*tile)?;
+            CimInstruction::ReadRow { .. } | CimInstruction::Logic { .. } => have_bits = true,
+            CimInstruction::StoreLast { .. } if !have_bits => {
+                return Err(JobError::StoreWithoutResult { index });
             }
-            CimInstruction::Logic { tile, .. } => {
-                have_bits = true;
-                *tile = digital(*tile)?;
-            }
-            CimInstruction::StoreLast { tile, .. } => {
-                if !have_bits {
-                    return Err(JobError::StoreWithoutResult { index });
-                }
-                *tile = digital(*tile)?;
-            }
-            CimInstruction::ProgramMatrix { tile, .. }
-            | CimInstruction::Mvm { tile, .. }
-            | CimInstruction::MvmT { tile, .. } => *tile = analog(*tile)?,
+            _ => {}
         }
+        let (family, tile) = instr.tile_mut();
+        let map = match family {
+            TileFamily::Digital => digital_map,
+            TileFamily::Analog => analog_map,
+        };
+        *tile = map.get(*tile).copied().ok_or(JobError::TileFault {
+            virtual_tile: *tile,
+            granted: map.len(),
+            analog: family == TileFamily::Analog,
+        })?;
     }
     Ok(instructions)
+}
+
+/// The digital rows a stream writes, in stream order: what releasing
+/// its lease must scrub. A key write pulses both rows of its entry's
+/// row pair.
+fn written_rows(instructions: &[CimInstruction]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    instructions.iter().flat_map(|instr| {
+        let (first, second) = match *instr {
+            CimInstruction::WriteRow { tile, row, .. }
+            | CimInstruction::StoreLast { tile, row } => (Some((tile, row)), None),
+            CimInstruction::WriteKey { tile, slot, .. } => {
+                (Some((tile, 2 * slot)), Some((tile, 2 * slot + 1)))
+            }
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    })
 }
 
 /// Renders a contained panic payload.
@@ -2183,6 +2104,71 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
+/// Runs one seeded stream on a shard's accelerator and returns the
+/// responses at the `outputs` indices, with the stats and device
+/// counters the stream caused. The pipeline is reset around the stream,
+/// and the result latch is tracked only when the stream stores it
+/// (streams without `StoreLast` skip the per-instruction operand
+/// clone). A malformed stream that slips past validation (e.g. a raw
+/// job with a shape mismatch) panics inside the accelerator; the panic
+/// is contained so one tenant cannot take the shard down.
+fn run_stream(
+    accelerator: &mut CimAccelerator,
+    instructions: Vec<CimInstruction>,
+    seed: u64,
+    outputs: &[usize],
+) -> (
+    std::thread::Result<Vec<CimResponse>>,
+    ExecutionStats,
+    DeviceCounters,
+) {
+    let before = *accelerator.stats();
+    let device_before = accelerator.device_counters();
+    accelerator.reset_pipeline();
+    accelerator.set_last_bits_tracking(
+        instructions
+            .iter()
+            .any(|i| matches!(i, CimInstruction::StoreLast { .. })),
+    );
+    let output_set: BTreeSet<usize> = outputs.iter().copied().collect();
+    let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut rng = seeded(seed);
+        let mut responses = Vec::with_capacity(output_set.len());
+        for (index, instr) in instructions.into_iter().enumerate() {
+            let (response, _cost) = accelerator.execute_with_rng(instr, &mut rng);
+            if output_set.contains(&index) {
+                responses.push(response);
+            }
+        }
+        responses
+    }));
+    accelerator.reset_pipeline();
+    let stats = stats_delta(accelerator.stats(), &before);
+    let device = accelerator.device_counters().delta(&device_before);
+    (executed, stats, device)
+}
+
+/// Scrubs digital rows and analog tiles so no data survives into the
+/// next lease, and returns the maintenance cost. Analog scrubs draw
+/// from a stream seeded by the shard seed and `salt`.
+fn scrub(
+    accelerator: &mut CimAccelerator,
+    shard_seed: u64,
+    salt: u64,
+    rows: impl IntoIterator<Item = (usize, usize)>,
+    analog_tiles: impl IntoIterator<Item = usize>,
+) -> OperationCost {
+    let mut maintenance = OperationCost::default();
+    let mut scrub_rng = seeded(mix_seed(shard_seed, 0x5C12 ^ salt));
+    for (tile, row) in rows {
+        maintenance = maintenance.then(accelerator.scrub_digital_row(tile, row));
+    }
+    for tile in analog_tiles {
+        maintenance = maintenance.then(accelerator.scrub_analog_tile(tile, &mut scrub_rng));
+    }
+    maintenance
+}
+
 fn worker_loop(
     shard: usize,
     mut accelerator: CimAccelerator,
@@ -2191,10 +2177,8 @@ fn worker_loop(
     completions: Sender<Completion>,
     tracer: Tracer,
 ) {
-    let host = ConventionalMachine::xeon_e5_2680();
-    let cim_system = CimSystem::paper_default();
     while let Ok(message) = messages.recv() {
-        match message {
+        let completion = match message {
             WorkerMsg::Batch(batch) => {
                 for placed in batch.jobs {
                     let part = placed.part;
@@ -2205,8 +2189,6 @@ fn worker_loop(
                         &mut accelerator,
                         shard_seed,
                         placed,
-                        &host,
-                        &cim_system,
                         &tracer,
                     );
                     tracer.close(dispatch, 0.0, &[]);
@@ -2218,6 +2200,7 @@ fn worker_loop(
                         return; // pool dropped
                     }
                 }
+                continue;
             }
             WorkerMsg::LoadDataset {
                 id,
@@ -2227,31 +2210,11 @@ fn worker_loop(
             } => {
                 let exec_span =
                     tracer.open("load_execute", span, &[("shard", Value::U64(shard as u64))]);
-                let before = *accelerator.stats();
-                let device_before = accelerator.device_counters();
-                accelerator.reset_pipeline();
-                accelerator.set_last_bits_tracking(
-                    instructions
-                        .iter()
-                        .any(|i| matches!(i, CimInstruction::StoreLast { .. })),
-                );
-                let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut rng = seeded(seed);
-                    for instr in instructions {
-                        accelerator.execute_with_rng(instr, &mut rng);
-                    }
-                }));
-                accelerator.reset_pipeline();
-                let stats = stats_delta(accelerator.stats(), &before);
-                let device = accelerator.device_counters().delta(&device_before);
+                let (executed, stats, device) =
+                    run_stream(&mut accelerator, instructions, seed, &[]);
                 tracer.close(exec_span, stats.busy_time.0, &[]);
-                let result = executed.map(|()| (stats, device)).map_err(panic_message);
-                if completions
-                    .send(Completion::DatasetLoaded { id, result })
-                    .is_err()
-                {
-                    return;
-                }
+                let result = executed.map(|_| (stats, device)).map_err(panic_message);
+                Completion::DatasetLoaded { id, result }
             }
             WorkerMsg::ReleaseDataset {
                 id,
@@ -2259,36 +2222,23 @@ fn worker_loop(
                 analog_tiles,
                 seed,
             } => {
-                let mut maintenance = OperationCost::default();
-                let mut scrub_rng = seeded(mix_seed(shard_seed, 0x5C12 ^ seed));
-                for (tile, row) in rows {
-                    maintenance = maintenance.then(accelerator.scrub_digital_row(tile, row));
-                }
-                for tile in analog_tiles {
-                    maintenance =
-                        maintenance.then(accelerator.scrub_analog_tile(tile, &mut scrub_rng));
-                }
-                if completions
-                    .send(Completion::DatasetReleased { id, maintenance })
-                    .is_err()
-                {
-                    return;
-                }
+                let maintenance = scrub(&mut accelerator, shard_seed, seed, rows, analog_tiles);
+                Completion::DatasetReleased { id, maintenance }
             }
             WorkerMsg::Shutdown => return,
+        };
+        if completions.send(completion).is_err() {
+            return; // pool dropped
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_job(
     shard: usize,
     batch: u64,
     accelerator: &mut CimAccelerator,
     shard_seed: u64,
     placed: PlacedJob,
-    host: &ConventionalMachine,
-    cim_system: &CimSystem,
     tracer: &Tracer,
 ) -> JobReport {
     let PlacedJob {
@@ -2299,53 +2249,42 @@ fn run_job(
         root,
         dispatch,
     } = placed;
-    let offload = offload_estimate(&compiled, host, cim_system);
-
-    let (job, tenant, kind, dataset) = (
-        compiled.job,
-        compiled.tenant,
-        compiled.kind,
-        compiled.dataset,
-    );
-    let base_report = move |output, stats, maintenance, device| JobReport {
-        job,
-        tenant,
-        kind,
-        dataset,
-        shard,
-        shards: vec![shard],
-        batch,
-        route: JobRoute::Cim,
-        output,
-        stats,
-        maintenance,
-        offload,
-        device,
-        timing: JobTiming::default(),
+    let job = compiled.job;
+    let (identity, offload) = (identity(&compiled), offload_estimate(&compiled));
+    let report = move |output, stats, maintenance, device| {
+        let measured = Measured {
+            shards: vec![shard],
+            batch,
+            stats,
+            maintenance,
+            device,
+        };
+        job_report(
+            identity,
+            JobRoute::Cim,
+            shard,
+            output,
+            offload,
+            Some(measured),
+        )
     };
 
-    let mut exec_attrs: [Attr; 4] = [
+    let exec_attrs: [Attr; 4] = [
         ("job", Value::U64(job.0)),
         ("shard", Value::U64(shard as u64)),
         ("batch", Value::U64(batch)),
-        ("part", Value::U64(0)),
+        ("part", Value::U64(part.map_or(0, u64::from))),
     ];
-    let exec_attr_count = match part {
-        Some(index) => {
-            exec_attrs[3] = ("part", Value::U64(index as u64));
-            4
-        }
-        None => 3,
-    };
+    let exec_attr_count = 3 + usize::from(part.is_some());
     let exec_span = tracer.open("execute", dispatch, &exec_attrs[..exec_attr_count]);
 
     let instructions = match relocate(compiled.instructions, &digital_map, &analog_map) {
         Ok(instructions) => instructions,
         Err(e) => {
             tracer.close(exec_span, 0.0, &[("outcome", Value::Str("err"))]);
-            return base_report(
+            return report(
                 Err(e),
-                cim_core::ExecutionStats::default(),
+                ExecutionStats::default(),
                 OperationCost::default(),
                 DeviceCounters::default(),
             );
@@ -2355,54 +2294,19 @@ fn run_job(
     // Track what the job touches so it can be scrubbed afterwards.
     // Dataset queries write only scratch rows (their StoreLast
     // write-backs), so the resident rows survive for the next query.
-    let mut written_rows: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut programmed_tiles: BTreeSet<usize> = BTreeSet::new();
-    let mut uses_store_last = false;
-    for instr in &instructions {
-        match instr {
-            CimInstruction::StoreLast { tile, row } => {
-                written_rows.insert((*tile, *row));
-                uses_store_last = true;
-            }
-            CimInstruction::WriteRow { tile, row, .. } => {
-                written_rows.insert((*tile, *row));
-            }
-            CimInstruction::WriteKey { tile, slot, .. } => {
-                written_rows.insert((*tile, 2 * slot));
-                written_rows.insert((*tile, 2 * slot + 1));
-            }
-            CimInstruction::ProgramMatrix { tile, .. } => {
-                programmed_tiles.insert(*tile);
-            }
-            _ => {}
-        }
-    }
+    let written: BTreeSet<(usize, usize)> = written_rows(&instructions).collect();
+    let programmed: BTreeSet<usize> = instructions
+        .iter()
+        .filter_map(|i| match i {
+            CimInstruction::ProgramMatrix { tile, .. } => Some(*tile),
+            _ => None,
+        })
+        .collect();
 
-    let before = *accelerator.stats();
-    let device_before = accelerator.device_counters();
-    accelerator.reset_pipeline();
-    // Streams without StoreLast skip the per-instruction operand clone.
-    accelerator.set_last_bits_tracking(uses_store_last);
-    // A malformed stream that slips past validation (e.g. a raw job
-    // with a shape mismatch) panics inside the accelerator; contain it
-    // so one tenant cannot take the shard down.
-    let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut job_rng = seeded(compiled.seed);
-        let output_set: BTreeSet<usize> = compiled.outputs.iter().copied().collect();
-        let mut outputs: Vec<CimResponse> = Vec::with_capacity(output_set.len());
-        for (index, instr) in instructions.into_iter().enumerate() {
-            let (response, _cost) = accelerator.execute_with_rng(instr, &mut job_rng);
-            if output_set.contains(&index) {
-                outputs.push(response);
-            }
-        }
-        outputs
-    }));
-    accelerator.reset_pipeline();
-    let stats = stats_delta(accelerator.stats(), &before);
     // The device delta is taken before the scrub so the job's counters
     // reflect only its own work, not lease maintenance.
-    let device = accelerator.device_counters().delta(&device_before);
+    let (executed, stats, device) =
+        run_stream(accelerator, instructions, compiled.seed, &compiled.outputs);
     tracer.close(
         exec_span,
         stats.busy_time.0,
@@ -2413,14 +2317,7 @@ fn run_job(
     );
 
     // Scrub the lease before the next tenant takes it.
-    let mut maintenance = OperationCost::default();
-    let mut scrub_rng = seeded(mix_seed(shard_seed, 0x5C12 ^ job.0));
-    for (tile, row) in written_rows {
-        maintenance = maintenance.then(accelerator.scrub_digital_row(tile, row));
-    }
-    for tile in programmed_tiles {
-        maintenance = maintenance.then(accelerator.scrub_analog_tile(tile, &mut scrub_rng));
-    }
+    let maintenance = scrub(accelerator, shard_seed, job.0, written, programmed);
 
     let output = match executed {
         Ok(outputs) => {
@@ -2439,7 +2336,7 @@ fn run_job(
             message: panic_message(panic),
         }),
     };
-    base_report(output, stats, maintenance, device)
+    report(output, stats, maintenance, device)
 }
 
 #[cfg(test)]
@@ -2816,7 +2713,7 @@ mod tests {
             .unwrap();
         let batches = {
             let mut st = pool.shared.state.lock().unwrap();
-            plan(&mut st, pool.config(), true, 8, &Tracer::disabled())
+            plan(&mut st, pool.config(), 8, &Tracer::disabled())
         };
         assert_eq!(batches.len(), 2, "XOR and Q6 form separate batches");
         // The cheap XOR batch dispatches before the expensive Q6 batch.
@@ -2932,7 +2829,7 @@ mod tests {
             .unwrap();
         let batches = {
             let mut st = pool.shared.state.lock().unwrap();
-            plan(&mut st, pool.config(), true, 8, &Tracer::disabled())
+            plan(&mut st, pool.config(), 8, &Tracer::disabled())
         };
         assert_eq!(batches.len(), 1, "same-kind raw jobs coalesce");
         let order: Vec<JobId> = batches[0].1.jobs.iter().map(|p| p.compiled.job).collect();
@@ -3320,7 +3217,7 @@ mod tests {
             .unwrap();
         let batches = {
             let mut st = pool.shared.state.lock().unwrap();
-            plan(&mut st, pool.config(), true, 8, &Tracer::disabled())
+            plan(&mut st, pool.config(), 8, &Tracer::disabled())
         };
         let order: Vec<(u64, JobId)> = batches
             .iter()

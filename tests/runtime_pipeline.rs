@@ -614,37 +614,53 @@ fn concurrent_closed_loop_waiters_never_strand() {
     // that takes the receiver while the other still holds an unprocessed
     // completion must not block with nothing in flight: every wait is
     // bounded by a watchdog, so a stranded waiter fails the test instead
-    // of hanging it.
+    // of hanging it. Under a one-unit in-flight budget every submit
+    // that finds the other session's job in flight also pumps
+    // completions in the submit-side backpressure wait, racing the
+    // other session's `wait` for the same receiver.
     const ITERATIONS: usize = 2000;
     const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(20);
-    let pool = RuntimePool::new(PoolConfig::with_shards(2));
-    let (progress_tx, progress_rx) = std::sync::mpsc::channel();
-    let workers: Vec<_> = (0..2u32)
-        .map(|t| {
-            let session = pool.client(TenantId(30 + t));
-            let progress = progress_tx.clone();
-            std::thread::spawn(move || {
-                let spec = WorkloadSpec::ScoutBulk {
-                    op: ScoutOp::Xor,
-                    rows: (0..2)
-                        .map(|r| BitVec::from_fn(64, |j| (j + r) % 3 == t as usize))
-                        .collect(),
-                };
-                for _ in 0..ITERATIONS {
-                    let report = session.submit(&spec).unwrap().wait();
-                    assert!(report.output.is_ok(), "{:?}", report.output);
-                    progress.send(t).unwrap();
-                }
+    let configs = [
+        PoolConfig::with_shards(2),
+        PoolConfig {
+            max_inflight_cost: 1,
+            ..PoolConfig::with_shards(2)
+        },
+    ];
+    for cfg in configs {
+        let pool = RuntimePool::new(cfg);
+        let (progress_tx, progress_rx) = std::sync::mpsc::channel();
+        let workers: Vec<_> = (0..2u32)
+            .map(|t| {
+                let session = pool.client(TenantId(30 + t));
+                let progress = progress_tx.clone();
+                std::thread::spawn(move || {
+                    let spec = WorkloadSpec::ScoutBulk {
+                        op: ScoutOp::Xor,
+                        rows: (0..2)
+                            .map(|r| BitVec::from_fn(64, |j| (j + r) % 3 == t as usize))
+                            .collect(),
+                    };
+                    for _ in 0..ITERATIONS {
+                        let report = session.submit(&spec).unwrap().wait();
+                        assert!(report.output.is_ok(), "{:?}", report.output);
+                        progress.send(t).unwrap();
+                    }
+                })
             })
-        })
-        .collect();
-    drop(progress_tx);
-    for done in 0..2 * ITERATIONS {
-        progress_rx.recv_timeout(WATCHDOG).unwrap_or_else(|e| {
-            panic!("no job completed within {WATCHDOG:?} after {done} waits: {e}")
-        });
-    }
-    for worker in workers {
-        worker.join().unwrap();
+            .collect();
+        drop(progress_tx);
+        for done in 0..2 * ITERATIONS {
+            progress_rx.recv_timeout(WATCHDOG).unwrap_or_else(|e| {
+                panic!(
+                    "no job completed within {WATCHDOG:?} after {done} waits \
+                     (max_inflight_cost {}): {e}",
+                    cfg.max_inflight_cost
+                )
+            });
+        }
+        for worker in workers {
+            worker.join().unwrap();
+        }
     }
 }
