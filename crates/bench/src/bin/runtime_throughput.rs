@@ -31,6 +31,8 @@
 //! slower.
 
 use cim_bitmap_db::tpch::Q6Params;
+use cim_core::accelerator::CimAcceleratorBuilder;
+use cim_core::isa::CimInstruction;
 use cim_crossbar::analog::{AnalogParams, DifferentialCrossbar};
 use cim_crossbar::cam::{host_match, CamArray, MatchKind as CamMatchKind, RuleSet};
 use cim_crossbar::digital::DigitalArray;
@@ -889,6 +891,30 @@ fn analog_mvm() -> BenchEntry {
     }
     let nn_speedup = ref_nn_wall / fast_nn_wall;
 
+    // Serving's write cycle on the pool tile shape: a release scrub of a
+    // used 32x2048 pair holding the padded first layer, then the next
+    // load programming that layer again. Unlike the cold rounds above,
+    // every device the scrub moved must be driven back.
+    const REPROGRAM_ROUNDS: usize = 6;
+    let padded_l1 = Matrix::from_fn(32, 2048, |i, j| if j < 256 { l1.get(i, j) } else { 0.0 });
+    let mut tiles = CimAcceleratorBuilder::new()
+        .analog_tiles(1, 32, 2048)
+        .analog_params(params)
+        .build();
+    let program = CimInstruction::ProgramMatrix {
+        tile: 0,
+        matrix: padded_l1,
+    };
+    let mut rng = seeded(0x5C12);
+    tiles.execute_with_rng(program.clone(), &mut rng);
+    let programs = vec![program; REPROGRAM_ROUNDS];
+    let start = Instant::now();
+    for program in programs {
+        tiles.scrub_analog_tile(0, &mut rng);
+        tiles.execute_with_rng(program, &mut rng);
+    }
+    let reprogram = start.elapsed().as_secs_f64() / REPROGRAM_ROUNDS as f64;
+
     // HDC lane: one wide class-score MVM (8 classes × d = 2048) per
     // query against resident bipolar prototypes.
     const HDC_QUERIES: usize = 50;
@@ -938,6 +964,11 @@ fn analog_mvm() -> BenchEntry {
         program_speedup
     );
     println!(
+        "{:>22} {:>11.2} ms",
+        "32x2048 scrub+program",
+        reprogram * 1e3
+    );
+    println!(
         "{:>22} {:>11.2} us {:>11.2} us {:>8.1}x",
         "NN inference",
         fast_nn_wall / INFERS as f64 * 1e6,
@@ -966,6 +997,7 @@ fn analog_mvm() -> BenchEntry {
         .extra("ref_mvm_us", ref_mvm_wall / MVM_ITERS as f64 * 1e6)
         .extra("fast_program_ms", fast_prog * 1e3)
         .extra("ref_program_ms", ref_prog * 1e3)
+        .extra("reprogram_ms", reprogram * 1e3)
         .extra("nn_serving_speedup", nn_speedup)
         .extra("nn_infer_per_s", INFERS as f64 / fast_nn_wall)
         .extra("hdc_serving_speedup", hdc_speedup)
@@ -1110,6 +1142,9 @@ fn traced_run() -> (String, String, Snapshot, f64) {
     assert!(report.shards.len() >= 2, "the select actually scattered");
     let sim_makespan = pool.telemetry().simulated_makespan().0;
     drop(table);
+    // Dropping the pool joins its workers after they drain the release
+    // scrub, so the trace is complete and deterministic.
+    drop(pool);
     let snap = ring.snapshot();
     (ring.chrome_trace_json(), snap.to_json(), snap, sim_makespan)
 }
@@ -1336,6 +1371,11 @@ fn observability() -> BenchEntry {
     let load_roots = snap.roots_named("dataset_load").count();
     assert_eq!(job_roots, 4, "2 queries + 1 encrypt + 1 split select");
     assert_eq!(load_roots, 1, "one resident dataset load");
+    assert_eq!(
+        snap.roots_named("dataset_scrub").count(),
+        1,
+        "one release scrub"
+    );
 
     // Exports: both files must be well-formed JSON, and the snapshot
     // (which excludes wall-clock fields by construction) must be

@@ -15,7 +15,6 @@ use cim_crossbar::digital::DigitalArray;
 use cim_crossbar::energy::OperationCost;
 use cim_device::reram::ReramParams;
 use cim_simkit::bitvec::BitVec;
-use cim_simkit::linalg::Matrix;
 use cim_simkit::rng::seeded;
 use cim_simkit::units::{Joules, Seconds};
 use rand::rngs::StdRng;
@@ -365,8 +364,7 @@ impl CimAccelerator {
     ///
     /// Panics if the tile index is out of range.
     pub fn scrub_digital_row(&mut self, tile: usize, row: usize) -> OperationCost {
-        let cols = self.digital_tiles[tile].shape().1;
-        self.digital_tiles[tile].write_row(row, &BitVec::zeros(cols))
+        self.digital_tiles[tile].clear_row(row)
     }
 
     /// Overwrites an analog tile with a constant pattern
@@ -380,9 +378,7 @@ impl CimAccelerator {
     ///
     /// Panics if the tile index is out of range.
     pub fn scrub_analog_tile(&mut self, tile: usize, rng: &mut StdRng) -> OperationCost {
-        let (rows, cols) = self.analog_tiles[tile].shape();
-        let uniform = Matrix::from_fn(rows, cols, |_, _| 1.0);
-        self.analog_tiles[tile].program_matrix(&uniform, rng)
+        self.analog_tiles[tile].program_uniform(1.0, rng)
     }
 
     /// Runs a straight-line sequence of instructions, returning the last

@@ -44,7 +44,7 @@
 //! agreement otherwise, accounting to 1e-12 relative.
 
 use crate::energy::{CrossbarEnergyModel, OperationCost};
-use crate::mapping::{split_signed, ConductanceMapping};
+use crate::mapping::{negative_part, positive_part, ConductanceMapping};
 use cim_device::pcm::PcmParams;
 use cim_device::pcm_bank::PcmBank;
 use cim_simkit::linalg::Matrix;
@@ -254,14 +254,28 @@ impl AnalogCrossbar {
         mapping: ConductanceMapping,
         rng: &mut R,
     ) -> OperationCost {
+        self.check_shape(m);
+        self.program_weights(m.as_slice().iter().copied(), mapping, rng)
+    }
+
+    fn check_shape(&self, m: &Matrix) {
         assert_eq!(
             (m.rows(), m.cols()),
             (self.rows, self.cols),
             "matrix shape mismatch"
         );
+    }
+
+    /// Programs the tile from its row-major weights (one per device).
+    fn program_weights<R: Rng + ?Sized>(
+        &mut self,
+        weights: impl Iterator<Item = f64>,
+        mapping: ConductanceMapping,
+        rng: &mut R,
+    ) -> OperationCost {
         let mut targets = std::mem::take(&mut self.targets);
         targets.clear();
-        targets.extend(m.as_slice().iter().map(|&w| {
+        targets.extend(weights.map(|w| {
             assert!(w >= 0.0, "negative weight {w} on a single-ended tile");
             mapping.weight_to_conductance(w).0
         }));
@@ -563,18 +577,40 @@ impl DifferentialCrossbar {
     ///
     /// Panics if the matrix shape mismatches the tiles or is all zeros.
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
-        let mapping = ConductanceMapping::for_matrix(
-            self.positive.params.pcm.g_min,
-            self.positive.params.pcm.g_max,
-            m,
-        );
-        let (pos, neg) = split_signed(m);
+        let pcm = self.positive.params.pcm;
+        let mapping = ConductanceMapping::for_matrix(pcm.g_min, pcm.g_max, m);
+        self.positive.check_shape(m);
+        self.program_signed(m.as_slice().iter().copied(), mapping, rng)
+    }
+
+    /// Programs every weight of the pair to the constant `w` — exactly
+    /// what [`Self::program_matrix`] does with a matrix filled with `w`,
+    /// without building one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is zero.
+    pub fn program_uniform<R: Rng + ?Sized>(&mut self, w: f64, rng: &mut R) -> OperationCost {
+        let pcm = self.positive.params.pcm;
+        let mapping = ConductanceMapping::for_max_abs(pcm.g_min, pcm.g_max, w.abs());
+        let (rows, cols) = self.shape();
+        self.program_signed(std::iter::repeat_n(w, rows * cols), mapping, rng)
+    }
+
+    /// Programs signed row-major weights: the positive parts on one
+    /// tile, the negative magnitudes on the other.
+    fn program_signed<R: Rng + ?Sized>(
+        &mut self,
+        weights: impl Iterator<Item = f64> + Clone,
+        mapping: ConductanceMapping,
+        rng: &mut R,
+    ) -> OperationCost {
         let c1 = self
             .positive
-            .program_matrix_with_mapping(&pos, mapping, rng);
+            .program_weights(weights.clone().map(positive_part), mapping, rng);
         let c2 = self
             .negative
-            .program_matrix_with_mapping(&neg, mapping, rng);
+            .program_weights(weights.map(negative_part), mapping, rng);
         OperationCost {
             energy: c1.energy + c2.energy,
             // The two tiles program in parallel.

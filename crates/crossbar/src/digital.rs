@@ -184,6 +184,22 @@ impl DigitalArray {
         assert!(r < rows, "row {r} out of range {rows}");
         assert_eq!(bits.len(), cols, "row width mismatch");
         self.bank.write_row_words(r, bits.words());
+        self.account_row_write()
+    }
+
+    /// Writes logic 0 into every device of row `r`: the state, cost and
+    /// statistics of [`Self::write_row`] with an all-zero row, without
+    /// building one or rescanning the row's read energy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    pub fn clear_row(&mut self, r: usize) -> OperationCost {
+        self.bank.clear_row(r);
+        self.account_row_write()
+    }
+
+    fn account_row_write(&mut self) -> OperationCost {
         let cost = self.write_cost;
         self.stats.row_writes += 1;
         self.stats.energy += cost.energy;

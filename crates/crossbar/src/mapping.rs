@@ -81,7 +81,17 @@ impl ConductanceMapping {
     ///
     /// Panics if the matrix is all zeros.
     pub fn for_matrix(g_min: Siemens, g_max: Siemens, m: &Matrix) -> Self {
-        let w_max = m.max_abs() * 1.1;
+        ConductanceMapping::for_max_abs(g_min, g_max, m.max_abs())
+    }
+
+    /// [`Self::for_matrix`] for a matrix whose largest absolute entry is
+    /// `max_abs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_abs` is zero.
+    pub fn for_max_abs(g_min: Siemens, g_max: Siemens, max_abs: f64) -> Self {
+        let w_max = max_abs * 1.1;
         assert!(
             w_max > 0.0,
             "cannot derive a mapping from an all-zero matrix"
@@ -94,9 +104,24 @@ impl ConductanceMapping {
 /// `m = positive_part - negative_part` and both parts are non-negative —
 /// the differential-pair encoding.
 pub fn split_signed(m: &Matrix) -> (Matrix, Matrix) {
-    let pos = Matrix::from_fn(m.rows(), m.cols(), |i, j| m.get(i, j).max(0.0));
-    let neg = Matrix::from_fn(m.rows(), m.cols(), |i, j| (-m.get(i, j)).max(0.0));
-    (pos, neg)
+    let part = |f: fn(f64) -> f64| {
+        Matrix::from_vec(
+            m.rows(),
+            m.cols(),
+            m.as_slice().iter().copied().map(f).collect(),
+        )
+    };
+    (part(positive_part), part(negative_part))
+}
+
+/// The positive half of a signed weight, `max(w, 0)`.
+pub(crate) fn positive_part(w: f64) -> f64 {
+    w.max(0.0)
+}
+
+/// The magnitude of a signed weight's negative half, `max(−w, 0)`.
+pub(crate) fn negative_part(w: f64) -> f64 {
+    (-w).max(0.0)
 }
 
 #[cfg(test)]

@@ -67,6 +67,9 @@ pub struct ReramBank {
     /// Cached `Σ_j read_energy(r, j)` at the devices' present states,
     /// refreshed on row writes so access costing never rescans.
     row_energy: Vec<f64>,
+    /// Each row's read-energy sum with every device in the HRS, the
+    /// value [`Self::clear_row`] restores.
+    hrs_row_energy: Vec<f64>,
 }
 
 impl ReramBank {
@@ -113,7 +116,7 @@ impl ReramBank {
         // Fresh devices are all HRS, so every cached row sum starts as the
         // row's HRS energy, accumulated in column order (reference order).
         let pulse = |i: f64| (i * params.read_voltage.0) * params.read_latency.0;
-        let row_energy = (0..rows)
+        let row_energy: Vec<f64> = (0..rows)
             .map(|r| {
                 i_high[r * cols..(r + 1) * cols]
                     .iter()
@@ -130,6 +133,7 @@ impl ReramBank {
             i_low,
             i_high,
             extremes,
+            hrs_row_energy: row_energy.clone(),
             row_energy,
         }
     }
@@ -198,6 +202,20 @@ impl ReramBank {
             }
         }
         self.refresh_row_energy(r);
+    }
+
+    /// Resets every device of row `r` to the HRS (logic 0) — the same
+    /// state and cached read-energy sum as writing an all-zero row, with
+    /// the sum restored from fabrication instead of refolded (the same
+    /// currents in the same column order, so the same bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    pub fn clear_row(&mut self, r: usize) {
+        assert!(r < self.rows, "row {r} out of range {}", self.rows);
+        self.state[r * self.words_per_row..(r + 1) * self.words_per_row].fill(0);
+        self.row_energy[r] = self.hrs_row_energy[r];
     }
 
     /// The fabricated read current of device `(r, j)` in its present
@@ -339,6 +357,23 @@ mod tests {
         // Fresh sum equals a manual rescan.
         let rescan: f64 = (0..64).map(|j| bank.read_energy(0, j)).sum();
         assert_eq!(lrs_sum, rescan);
+    }
+
+    #[test]
+    fn clear_row_matches_writing_zeros() {
+        let mut rng = seeded(7);
+        let mut cleared = ReramBank::new(3, 70, ReramParams::default(), &mut rng);
+        let mut written = cleared.clone();
+        for bank in [&mut cleared, &mut written] {
+            bank.write_row_words(1, &[0xDEAD_BEEF_0123_4567, !0u64]);
+        }
+        cleared.clear_row(1);
+        written.write_row_words(1, &[0, 0]);
+        assert_eq!(cleared.row_words(1), written.row_words(1));
+        assert_eq!(
+            cleared.row_energy(1).to_bits(),
+            written.row_energy(1).to_bits()
+        );
     }
 
     #[test]

@@ -28,6 +28,32 @@
 //!   ledger, clamping and convergence marginals are identical in
 //!   distribution to the per-device loop; the raw RNG stream is consumed
 //!   differently, so noisy trajectories are not draw-for-draw identical.
+//!
+//! Three shortcuts keep the sampler cheap without changing a single draw
+//! or stored bit. Every device still consumes its two uniforms in
+//! fabrication order; only arithmetic whose result is already decided
+//! is skipped.
+//!
+//! * **Per-target memo.** A device's law depends on its target alone:
+//!   the clamp positions, the acceptance interval `[pa, pa + p]` and the
+//!   geometric factor `1/ln(1−p)`. Targets come in long runs (zero
+//!   padding, ±1 weights, uniform scrub patterns), so the constants are
+//!   memoised on the previous target's bits and recomputed only when the
+//!   target changes.
+//! * **Rail shortcut.** For a target exactly on `g_min`, a converged
+//!   quantile `pa + v·p ≤ 0.5` gives `z ≤ 0` (the inverse normal CDF is
+//!   non-positive on `[0, 0.5]`), so the write lands at or below the rail
+//!   and the clamp stores `g_min` whatever `z` is; the inverse CDF is not
+//!   evaluated. Targets exactly on `g_max` mirror this for quantiles
+//!   `≥ 0.5`. Zero weights map exactly onto `g_min`, so this covers every
+//!   padding device and every negative-half device of a ±1 layer.
+//! * **One-pulse threshold.** A device takes one pulse exactly when its
+//!   count uniform `u` is at least `1 − p`. Each law also stores a bound
+//!   a relative margin of `2⁻²⁰` (in `ln u`) above that threshold, far
+//!   beyond the rounding error of `ln`, `exp` and a product. A uniform
+//!   at or above the bound therefore gets the count the logarithm would
+//!   give, and it skips the logarithm. This covers a fraction `p` of the
+//!   devices, which is most of the devices driven onto a rail.
 
 use crate::pcm::PcmParams;
 use cim_simkit::rng::{normal_cdf, normal_inverse_cdf};
@@ -53,6 +79,73 @@ pub struct BankProgramReport {
     /// so the pass takes as long as its slowest device
     /// (`pulse_latency × max_device_pulses`).
     pub latency: Seconds,
+}
+
+/// Which window rail a target sits exactly on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rail {
+    None,
+    Min,
+    Max,
+}
+
+/// Relative margin below the one-pulse threshold, far wider than the
+/// ulp-level error of `ln` and `exp` (see [`TargetLaw::draws`]).
+const ONE_PULSE_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// The per-target constants of the closed-form program-and-verify law.
+#[derive(Debug, Clone, Copy)]
+struct TargetLaw {
+    /// Lower end of the accepted quantile interval.
+    pa: f64,
+    /// Acceptance mass of one pulse.
+    p: f64,
+    /// `1 / ln(1 − p)`, the geometric inversion factor (unused when
+    /// `p >= 1`).
+    inv_ln_q: f64,
+    /// Uniforms at or above this draw exactly one pulse, see
+    /// [`TargetLaw::draws`] (`∞` when `p` is too small to bound).
+    one_pulse: f64,
+    rail: Rail,
+}
+
+impl TargetLaw {
+    /// The law of a target whose acceptance interval is `[pa, pb]`.
+    fn with_interval(pa: f64, pb: f64, rail: Rail) -> Self {
+        let p = pb - pa;
+        let inv_ln_q = (1.0 - p).ln().recip();
+        // ln(1 − p), recovered from the factor the exact path uses.
+        let ln_q = inv_ln_q.recip();
+        let one_pulse = if ln_q < -1e-6 {
+            ((1.0 - ONE_PULSE_MARGIN) * ln_q).exp()
+        } else {
+            f64::INFINITY
+        };
+        TargetLaw {
+            pa,
+            p,
+            inv_ln_q,
+            one_pulse,
+            rail,
+        }
+    }
+
+    /// The pulse draw count `max(1, ⌈ln(u) / ln(1 − p)⌉)` of a uniform
+    /// `u ∈ (0, 1]`.
+    ///
+    /// The count is one exactly when `u ≥ 1 − p`. A uniform at or above
+    /// `one_pulse = (1 − p)^(1 − ONE_PULSE_MARGIN)` clears that
+    /// threshold by a relative margin of `ln u` far beyond the rounding
+    /// of `ln`, `exp` and the product, so the logarithm would round to
+    /// the same count: the first pulse's acceptance (probability `p`)
+    /// is decided by one comparison.
+    fn draws(&self, u: f64) -> f64 {
+        if self.p >= 1.0 || u >= self.one_pulse {
+            1.0
+        } else {
+            (u.ln() * self.inv_ln_q).ceil().max(1.0)
+        }
+    }
 }
 
 /// A `rows × cols` PCM array in struct-of-arrays form.
@@ -223,38 +316,48 @@ impl PcmBank {
             // independent of the count.
             let tau = rel_tolerance / self.params.sigma_prog;
             let cap = self.params.max_program_pulses;
-            // Devices whose window edges sit beyond ±τ·σ of the target
-            // (the common case) share one acceptance interval.
             let phi_lo = normal_cdf(-tau);
             let phi_hi = normal_cdf(tau);
-            let interior_inv_ln_q = (1.0 - (phi_hi - phi_lo)).ln().recip();
+            // Devices whose window edges sit beyond ±τ·σ of the target
+            // (the common case) share one acceptance interval.
+            let interior = TargetLaw::with_interval(phi_lo, phi_hi, Rail::None);
+            let law_of = |t: f64| {
+                let lo = (g_min - t) / sigma; // z driven to the g_min clamp
+                let hi = (g_max - t) / sigma; // z driven to the g_max clamp
+                if lo <= -tau && hi >= tau {
+                    return interior;
+                }
+                let rail = if t == g_min {
+                    Rail::Min
+                } else if t == g_max {
+                    Rail::Max
+                } else {
+                    Rail::None
+                };
+                TargetLaw::with_interval(
+                    if lo <= -tau { phi_lo } else { 0.0 },
+                    if hi >= tau { phi_hi } else { 1.0 },
+                    rail,
+                )
+            };
+            // Targets repeat in long runs (zero padding, ±1 weights,
+            // uniform scrubs), so the law is memoised on the last
+            // target's bits.
+            let mut memo: Option<(u64, TargetLaw)> = None;
             for &i in &active {
                 let i = i as usize;
                 let t = targets[i];
-                let lo = (g_min - t) / sigma; // z driven to the g_min clamp
-                let hi = (g_max - t) / sigma; // z driven to the g_max clamp
-                let interior = lo <= -tau && hi >= tau;
-                let (pa, pb) = if interior {
-                    (phi_lo, phi_hi)
-                } else {
-                    (
-                        if lo <= -tau { phi_lo } else { 0.0 },
-                        if hi >= tau { phi_hi } else { 1.0 },
-                    )
+                let law = match memo {
+                    Some((bits, law)) if bits == t.to_bits() => law,
+                    _ => {
+                        let law = law_of(t);
+                        memo = Some((t.to_bits(), law));
+                        law
+                    }
                 };
-                let p = pb - pa;
                 // Pulse count by geometric inversion: P(K > n) = (1−p)ⁿ.
                 let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
-                let draws = if p >= 1.0 {
-                    1.0
-                } else {
-                    let inv_ln_q = if interior {
-                        interior_inv_ln_q
-                    } else {
-                        (1.0 - p).ln().recip()
-                    };
-                    (u.ln() * inv_ln_q).ceil().max(1.0)
-                };
+                let draws = law.draws(u);
                 let (k, converged) = if draws <= cap as f64 {
                     (draws as u32, true)
                 } else {
@@ -265,26 +368,39 @@ impl PcmBank {
                 // onto the window clamp, which is exactly the point mass
                 // the clamped write puts there.
                 let v: f64 = rng.gen::<f64>();
-                let z = if converged {
-                    normal_inverse_cdf(pa + v * p)
+                let TargetLaw { pa, p, rail, .. } = law;
+                self.g_programmed[i] = if converged {
+                    let x = pa + v * p;
+                    match rail {
+                        // A quantile on the rail's side of the median
+                        // writes at or beyond the rail, which the clamp
+                        // maps back onto it: the inverse CDF's value
+                        // cannot change the stored state.
+                        Rail::Min if x <= 0.5 => g_min,
+                        Rail::Max if x >= 0.5 => g_max,
+                        _ => (t + sigma * normal_inverse_cdf(x)).clamp(g_min, g_max),
+                    }
                 } else {
                     all_converged = false;
                     let w = v * (1.0 - p);
-                    normal_inverse_cdf(if w < pa { w } else { w + p })
+                    let z = normal_inverse_cdf(if w < pa { w } else { w + p });
+                    (t + sigma * z).clamp(g_min, g_max)
                 };
-                self.g_programmed[i] = (t + sigma * z).clamp(g_min, g_max);
                 self.pulses[i] += k as u64;
                 total_pulses += k as u64;
                 rounds = rounds.max(k);
             }
         }
 
+        // Division by the positive range is monotone, so the largest
+        // quotient is the quotient of the largest error.
         let max_rel_error = self
             .g_programmed
             .iter()
             .zip(targets)
-            .map(|(&g, &t)| (g - t).abs() / range)
-            .fold(0.0f64, f64::max);
+            .map(|(&g, &t)| (g - t).abs())
+            .fold(0.0f64, f64::max)
+            / range;
         BankProgramReport {
             pulses: total_pulses,
             max_device_pulses: rounds,
@@ -397,6 +513,48 @@ mod tests {
         }
         let ratio = bank_pulses as f64 / dev_pulses as f64;
         assert!((ratio - 1.0).abs() < 0.05, "pulse ratio {ratio}");
+    }
+
+    #[test]
+    fn one_pulse_threshold_matches_the_logarithm() {
+        let mut rng = seeded(7);
+        let (phi_lo, phi_hi) = (normal_cdf(-1.0 / 3.0), normal_cdf(1.0 / 3.0));
+        let intervals = [
+            (phi_lo, phi_hi),
+            (0.0, phi_hi),
+            (phi_lo, 1.0),
+            (0.0, 0.999_999),
+            (0.0, 0.9),
+            (0.0, 0.01),
+            (0.0, 1e-5),
+            (0.0, 1e-9),
+        ];
+        for (pa, pb) in intervals {
+            let law = TargetLaw::with_interval(pa, pb, Rail::None);
+            let exact = |u: f64| (u.ln() * law.inv_ln_q).ceil().max(1.0);
+            let mut us: Vec<f64> = (0..200_000).map(|_| 1.0 - rng.gen::<f64>()).collect();
+            // Uniforms on and a few ulps around the exact one-pulse
+            // threshold and the shortcut's bound.
+            for centre in [1.0 - law.p, law.one_pulse] {
+                let mut u = centre.min(1.0);
+                for _ in 0..4 {
+                    u = u.next_down();
+                }
+                for _ in 0..9 {
+                    us.push(u.min(1.0));
+                    u = u.next_up();
+                }
+            }
+            us.extend([1.0, f64::EPSILON / 2.0]);
+            for &u in &us {
+                assert_eq!(
+                    law.draws(u).to_bits(),
+                    exact(u).to_bits(),
+                    "p {} u {u:e}",
+                    law.p
+                );
+            }
+        }
     }
 
     #[test]

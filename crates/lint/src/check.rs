@@ -417,7 +417,8 @@ fn check_analog(
 ) {
     match instr {
         CimInstruction::ProgramMatrix { matrix, .. } => {
-            if matrix.rows() > geo.analog_rows || matrix.cols() > geo.analog_cols {
+            // A tile programs every device, so only its exact shape fits.
+            if matrix.rows() != geo.analog_rows || matrix.cols() != geo.analog_cols {
                 diags.push(Diagnostic::new(
                     RuleCode::WidthMismatch,
                     i,
@@ -428,6 +429,15 @@ fn check_analog(
                         geo.analog_rows,
                         geo.analog_cols
                     ),
+                ));
+            }
+            // The conductance mapping scales by the largest magnitude,
+            // which a matrix of zeros does not have.
+            if !matrix.as_slice().iter().any(|w| w.abs() > 0.0) {
+                diags.push(Diagnostic::new(
+                    RuleCode::ZeroMatrix,
+                    i,
+                    "CIM.PROG programs a matrix with no nonzero weight".to_string(),
                 ));
             }
             if analog[tile] == AnalogState::Resident {
@@ -705,6 +715,14 @@ mod tests {
                     tile: 0,
                     x: vec![0.0; 7],
                 },
+                CimInstruction::ProgramMatrix {
+                    tile: 0,
+                    matrix: Matrix::from_fn(4, 4, |_, _| 1.0),
+                },
+                CimInstruction::Mvm {
+                    tile: 0,
+                    x: vec![0.0; 4],
+                },
             ],
             &target,
         );
@@ -714,7 +732,23 @@ mod tests {
             .filter(|d| d.rule == RuleCode::WidthMismatch)
             .map(|d| d.instr_index)
             .collect();
-        assert_eq!(widths, vec![0, 1, 3], "{}", report.to_text());
+        // A matrix smaller than the tile mismatches as much as a larger one.
+        assert_eq!(widths, vec![0, 1, 2, 3], "{}", report.to_text());
+    }
+
+    #[test]
+    fn zero_matrix_rejected() {
+        let target = LintTarget::new(geometry());
+        let program = |w: f64| {
+            vec![CimInstruction::ProgramMatrix {
+                tile: 0,
+                matrix: Matrix::from_fn(4, 4, |i, j| if i == 3 && j == 2 { w } else { 0.0 }),
+            }]
+        };
+        let zero = run(program(0.0), &target);
+        let codes: Vec<RuleCode> = zero.diagnostics.iter().map(|d| d.rule).collect();
+        assert_eq!(codes, vec![RuleCode::ZeroMatrix], "{}", zero.to_text());
+        assert!(run(program(-0.5), &target).is_clean());
     }
 
     #[test]
@@ -741,7 +775,7 @@ mod tests {
         let reprogram = run(
             vec![CimInstruction::ProgramMatrix {
                 tile: 0,
-                matrix: Matrix::from_fn(2, 2, |_, _| 1.0),
+                matrix: Matrix::from_fn(4, 4, |_, _| 1.0),
             }],
             &resident,
         );

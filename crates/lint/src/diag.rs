@@ -55,11 +55,14 @@ pub enum RuleCode {
     /// `L008-WIDTH-MISMATCH` — operand width does not match the tile
     /// width or analog shape.
     WidthMismatch,
+    /// `L009-ZERO-MATRIX` — a programmed matrix has no nonzero weight,
+    /// so no conductance mapping exists for it.
+    ZeroMatrix,
 }
 
 impl RuleCode {
     /// Every rule, in code order (the order the README table uses).
-    pub const ALL: [RuleCode; 8] = [
+    pub const ALL: [RuleCode; 9] = [
         RuleCode::UninitRead,
         RuleCode::LatchUndef,
         RuleCode::LatchDead,
@@ -68,6 +71,7 @@ impl RuleCode {
         RuleCode::BadArity,
         RuleCode::ResidentWrite,
         RuleCode::WidthMismatch,
+        RuleCode::ZeroMatrix,
     ];
 
     /// The stable wire form, e.g. `"L001-UNINIT-READ"`.
@@ -81,6 +85,7 @@ impl RuleCode {
             RuleCode::BadArity => "L006-BAD-ARITY",
             RuleCode::ResidentWrite => "L007-RESIDENT-WRITE",
             RuleCode::WidthMismatch => "L008-WIDTH-MISMATCH",
+            RuleCode::ZeroMatrix => "L009-ZERO-MATRIX",
         }
     }
 

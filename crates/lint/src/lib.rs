@@ -31,15 +31,18 @@
 //!   two and at most the scouting fan-in, no duplicate activations
 //!   ([`RuleCode::BadArity`]);
 //! * **operand width** — bit vectors must match the tile width, MVM
-//!   vectors and programmed matrices the analog shape
+//!   vectors and programmed matrices the analog shape exactly
 //!   ([`RuleCode::WidthMismatch`]);
+//! * **programmable matrices** — a programmed matrix needs a nonzero
+//!   weight to scale its conductance mapping by
+//!   ([`RuleCode::ZeroMatrix`]);
 //! * **pinned-dataset write protection** — a query program over a
 //!   resident dataset must not write, store into, or reprogram
 //!   anything the dataset pinned ([`RuleCode::ResidentWrite`]).
 //!
 //! Diagnostics come back as a [`LintReport`] of
 //! [`Diagnostic`]s with stable rule codes (`L001-UNINIT-READ` …
-//! `L008-WIDTH-MISMATCH`) and render deterministically as text
+//! `L009-ZERO-MATRIX`) and render deterministically as text
 //! ([`LintReport::to_text`]) or JSON ([`LintReport::to_json`]).
 //!
 //! A second pass, [`cost`], runs the same effect-summary walk but

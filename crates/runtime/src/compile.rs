@@ -1566,11 +1566,9 @@ fn load_hdc_prototypes(
         });
     }
     let (task, prototypes) = train_hdc(classes, d, ngram, train_len, seed);
-    let weights = Matrix::from_fn(cfg.analog_rows, cfg.analog_cols, |r, c| {
-        if r < classes && c < d && prototypes[r].bits().get(c) {
-            1.0
-        } else {
-            0.0
+    let weights = padded_tile(cfg, classes, |r, row| {
+        for c in prototypes[r].bits().iter_ones().take_while(|&c| c < d) {
+            row[c] = 1.0;
         }
     });
     Ok(DatasetProgram {
@@ -1762,14 +1760,25 @@ fn nn_inputs_check(mlp: &BinarizedMlp, inputs: &[BitVec]) -> Result<(), CompileE
     Ok(())
 }
 
+/// An analog tile image: `fill(r, row)` writes the leading weights of
+/// each of the first `rows` rows, every other weight is zero padding.
+fn padded_tile(cfg: &PoolConfig, rows: usize, mut fill: impl FnMut(usize, &mut [f64])) -> Matrix {
+    let mut tile = Matrix::zeros(cfg.analog_rows, cfg.analog_cols);
+    for (r, row) in tile
+        .as_mut_slice()
+        .chunks_exact_mut(cfg.analog_cols)
+        .take(rows)
+        .enumerate()
+    {
+        fill(r, row);
+    }
+    tile
+}
+
 /// One layer's ±1 weight matrix padded to the analog tile shape.
 fn nn_padded_weights(layer: &Matrix, cfg: &PoolConfig) -> Matrix {
-    Matrix::from_fn(cfg.analog_rows, cfg.analog_cols, |r, c| {
-        if r < layer.rows() && c < layer.cols() {
-            layer.get(r, c)
-        } else {
-            0.0
-        }
+    padded_tile(cfg, layer.rows(), |r, row| {
+        row[..layer.cols()].copy_from_slice(layer.row(r));
     })
 }
 
@@ -1827,17 +1836,10 @@ fn lower_nn_query(
     for x in inputs {
         let acts = mlp.activations(x);
         for (tile, (layer, v)) in mlp.layers().iter().zip(&acts).enumerate() {
-            let x: Vec<f64> = (0..cfg.analog_cols)
-                .map(|j| {
-                    if j >= layer.cols() {
-                        0.0
-                    } else if v.get(j) {
-                        1.0
-                    } else {
-                        -1.0
-                    }
-                })
-                .collect();
+            let mut x = vec![0.0; cfg.analog_cols];
+            for (j, xj) in x[..layer.cols()].iter_mut().enumerate() {
+                *xj = if v.get(j) { 1.0 } else { -1.0 };
+            }
             instructions.push(CimInstruction::Mvm { tile, x });
         }
         outputs.push(instructions.len() - 1);

@@ -2222,7 +2222,16 @@ fn worker_loop(
                 analog_tiles,
                 seed,
             } => {
+                let span = tracer.open(
+                    "dataset_scrub",
+                    SpanId::NONE,
+                    &[
+                        ("dataset", Value::U64(id.0)),
+                        ("shard", Value::U64(shard as u64)),
+                    ],
+                );
                 let maintenance = scrub(&mut accelerator, shard_seed, seed, rows, analog_tiles);
+                tracer.close(span, maintenance.latency.0, &[]);
                 Completion::DatasetReleased { id, maintenance }
             }
             WorkerMsg::Shutdown => return,

@@ -68,14 +68,13 @@ impl Matrix {
     }
 
     /// Builds a matrix from a closure mapping `(row, col) → value`.
+    /// The closure is called once per element in row-major order.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
+        let mut data = Vec::with_capacity(rows * cols);
         for i in 0..rows {
-            for j in 0..cols {
-                m.set(i, j, f(i, j));
-            }
+            data.extend((0..cols).map(|j| f(i, j)));
         }
-        m
+        Matrix { rows, cols, data }
     }
 
     /// Builds a matrix taking ownership of a row-major buffer.

@@ -247,6 +247,7 @@ pub fn categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
 mod tests {
     use super::*;
     use crate::stats::Summary;
+    use proptest::prelude::*;
 
     #[test]
     fn seeded_streams_are_deterministic() {
@@ -375,5 +376,57 @@ mod tests {
     fn sparse_rejects_k_gt_n() {
         let mut rng = seeded(8);
         let _ = sparse_normal_vec(&mut rng, 4, 5);
+    }
+
+    /// Asserts the quantile's sign matches the side of the median `x`
+    /// lies on: `≤ 0` on `[0, 0.5]`, `≥ 0` on `[0.5, 1]`.
+    fn sign_follows_median(x: f64) -> Result<(), TestCaseError> {
+        let z = normal_inverse_cdf(x);
+        if x <= 0.5 {
+            prop_assert!(z <= 0.0, "x {x:e} gave {z}");
+        }
+        if x >= 0.5 {
+            prop_assert!(z >= 0.0, "x {x:e} gave {z}");
+        }
+        Ok(())
+    }
+
+    /// The branch edges of the inverse CDF (both `P_LOW` tails and the
+    /// median) and the ends of its domain, each with a few ulps around.
+    #[test]
+    fn normal_inverse_cdf_sign_at_branch_edges() {
+        const P_LOW: f64 = 0.02425;
+        for centre in [0.0, f64::MIN_POSITIVE, P_LOW, 0.5, 1.0 - P_LOW, 1.0] {
+            let mut x = centre;
+            for _ in 0..8 {
+                x = x.next_down();
+            }
+            for _ in 0..17 {
+                if (0.0..=1.0).contains(&x) {
+                    sign_follows_median(x).unwrap();
+                }
+                x = x.next_up();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The sign fact program-and-verify's rail shortcut rests on:
+        /// a quantile below the median is never positive and one above
+        /// it never negative. `tail` is log-uniform, so it covers the
+        /// `P_LOW` tail branches down to subnormal-adjacent values.
+        #[test]
+        fn normal_inverse_cdf_sign_follows_the_median(
+            x in 0.0f64..1.0,
+            mantissa in 1.0f64..2.0,
+            exponent in -1022i32..-1,
+        ) {
+            let tail = mantissa * 2f64.powi(exponent);
+            for x in [x, tail, 1.0 - tail] {
+                sign_follows_median(x)?;
+            }
+        }
     }
 }

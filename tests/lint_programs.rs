@@ -9,7 +9,8 @@
 //! * **The verifier catches mutations** — deterministic tests submit
 //!   raw streams carrying one seeded defect each (dropped write,
 //!   swapped tile, out-of-range row, bad fan-in, resident-dataset
-//!   write, width mismatch, undefined latch) and require admission to
+//!   write, width mismatch, undersized or all-zero matrix, undefined
+//!   latch) and require admission to
 //!   fail terminally with [`JobError::RejectedByVerifier`] carrying the
 //!   intended `L00x` rule code — before any device state is touched,
 //!   with the pool fully serviceable afterwards.
@@ -24,6 +25,7 @@ use cim_repro::cim_runtime::{
     DatasetSpec, ImgFilterOp, JobError, MatchKind, PoolConfig, RuntimePool, TenantId, WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
+use cim_repro::cim_simkit::linalg::Matrix;
 use cim_repro::cim_simkit::rng::seeded;
 use proptest::prelude::*;
 use rand::Rng;
@@ -470,6 +472,45 @@ fn width_mismatch_rejected_l008() {
         }]),
     );
     assert_eq!(codes, vec![RuleCode::WidthMismatch]);
+}
+
+/// A raw analog program on the default pool's one analog tile.
+fn raw_analog(matrix: Matrix) -> WorkloadSpec {
+    WorkloadSpec::Raw {
+        digital_tiles: 0,
+        analog_tiles: 1,
+        instructions: vec![CimInstruction::ProgramMatrix { tile: 0, matrix }],
+    }
+}
+
+/// Mutation "matrix smaller than the tile": the tile programs every
+/// device, so an 8x8 matrix on a 32x2048 tile could never execute.
+#[test]
+fn undersized_matrix_rejected_l008() {
+    let codes = rejected_codes(&pool(), &raw_analog(Matrix::from_fn(8, 8, |_, _| 1.0)));
+    assert_eq!(codes, vec![RuleCode::WidthMismatch]);
+}
+
+/// Mutation "all-zero matrix": no largest weight to derive the
+/// conductance mapping from.
+#[test]
+fn all_zero_matrix_rejected_l009() {
+    let cfg = PoolConfig::with_shards(1);
+    let pool = pool();
+    let codes = rejected_codes(
+        &pool,
+        &raw_analog(Matrix::zeros(cfg.analog_rows, cfg.analog_cols)),
+    );
+    assert_eq!(codes, vec![RuleCode::ZeroMatrix]);
+    // One nonzero weight makes the same program admissible.
+    let mut matrix = Matrix::zeros(cfg.analog_rows, cfg.analog_cols);
+    matrix.set(3, 5, -1.0);
+    let report = pool
+        .client(TenantId(9))
+        .submit(&raw_analog(matrix))
+        .unwrap()
+        .wait();
+    assert!(report.output.is_ok(), "{:?}", report.output);
 }
 
 /// L003 is the one warning-severity rule: a latch defined and then

@@ -22,6 +22,7 @@
 
 use cim_repro::cim_bitmap_db::tpch::Q6Params;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
+use cim_repro::cim_nn::binarized::BinarizedMlp;
 use cim_repro::cim_obs::{RingRecorder, Snapshot, SpanNode, Value};
 use cim_repro::cim_runtime::{
     DatasetSpec, JobError, JobReport, PoolConfig, RuntimePool, TenantId, WorkloadSpec,
@@ -217,6 +218,49 @@ fn resident_queries_reuse_one_dataset_load_span() {
             "query roots carry their dataset id"
         );
     }
+}
+
+/// A dataset release is traced on the shard that scrubs it: one
+/// `dataset_scrub` root per placement, carrying the dataset and shard,
+/// with the scrub's maintenance latency as its simulated seconds.
+#[test]
+fn dataset_release_traces_one_scrub_span_per_placement() {
+    let (ring, pool) = traced_pool(1);
+    let session = pool.client(TenantId(3));
+    let weights = session
+        .register_dataset(&DatasetSpec::NnWeights {
+            network: BinarizedMlp::random(&[64, 16, 4], 5),
+        })
+        .unwrap();
+    let id = weights.id().0;
+    let before = pool.telemetry().maintenance.latency.0;
+    drop(weights);
+    // The shard scrubs before it runs the next job, so the job's
+    // report is folded in after the scrub's maintenance.
+    let report = session
+        .submit(&WorkloadSpec::XorEncrypt {
+            message: vec![7; 16],
+            key_seed: 1,
+        })
+        .unwrap()
+        .wait();
+    assert!(report.output.is_ok());
+    let released = pool.telemetry().maintenance.latency.0 - before - report.maintenance.latency.0;
+    drop(pool); // joins the shard workers, so every span has closed
+    let snap = ring.snapshot();
+    assert_eq!(snap.unclosed, 0);
+    assert_eq!(snap.orphan_closes, 0);
+    let scrubs: Vec<&SpanNode> = snap.roots_named("dataset_scrub").collect();
+    assert_eq!(scrubs.len(), 1, "one scrub per placement");
+    let scrub = scrubs[0];
+    assert!(matches!(scrub.attr("dataset"), Some(Value::U64(d)) if *d == id));
+    assert!(matches!(scrub.attr("shard"), Some(Value::U64(0))));
+    assert!(scrub.sim_seconds > 0.0, "analog scrubs take simulated time");
+    assert!(
+        (scrub.sim_seconds - released).abs() <= 1e-9 * released,
+        "span {} vs released maintenance {released}",
+        scrub.sim_seconds
+    );
 }
 
 /// One scenario job for the mixed-queue property, indexed by the same

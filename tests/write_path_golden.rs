@@ -221,7 +221,7 @@ fn bank_script(pcm: PcmParams) -> u64 {
     let range = g_max - g_min;
     let n = 64 * 48;
     let pick = |i: usize, phase: usize| match (i * 5 + phase * 3) % 8 {
-        0 | 1 | 2 => g_min,
+        0..=2 => g_min,
         3 | 4 => g_max,
         5 => g_min + 0.004 * range,
         6 => g_max - 0.004 * range,
