@@ -69,7 +69,7 @@ impl Digest {
     }
 }
 
-/// A ±1 matrix with a seeded-looking but closed-form sign pattern.
+/// A ±1 matrix with an irregular, closed-form sign pattern.
 fn signs(rows: usize, cols: usize, salt: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| {
         if (i * 7 + j * 3 + salt).is_multiple_of(5) || (i + j * salt).is_multiple_of(3) {
