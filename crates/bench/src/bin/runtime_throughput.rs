@@ -39,6 +39,7 @@ use cim_crossbar::digital::DigitalArray;
 use cim_crossbar::reference::{ReferenceDifferentialCrossbar, ReferenceDigitalArray};
 use cim_crossbar::scouting::ScoutOp;
 use cim_device::reram::ReramParams;
+use cim_lint::{CostModel, Geometry, LintTarget};
 use cim_nn::binarized::BinarizedMlp;
 use cim_obs::{Histogram, RingRecorder, Snapshot, SpanId, Value};
 use cim_runtime::{
@@ -1193,18 +1194,30 @@ fn verify_all_overhead() -> BenchEntry {
         (wall, sim)
     };
     // One discarded warm-up (allocator + page-cache effects land on the
-    // first serve), then interleaved best-of-3 per mode: interleaving
+    // first serve), then interleaved best-of-6 per mode: interleaving
     // cancels slow host drift and minima damp scheduler noise, which
-    // single back-to-back runs at a 5% bar are hostage to. The set
+    // single back-to-back runs at a 5% bar are hostage to. The mode that
+    // serves first alternates between rounds, so neither mode always
+    // pays (or dodges) whatever the previous round left behind. The set
     // serves in about 0.1 s, where one serve's jitter alone exceeds the
     // bar, so each sample serves it enough times to take about 1 s.
     let reps = (1.0 / serve(false, 1).0).ceil().max(1.0) as usize;
     let (mut wall_base, mut wall_verify, mut sim) = (f64::INFINITY, f64::INFINITY, 0.0);
-    for _ in 0..3 {
-        wall_base = wall_base.min(serve(false, reps).0);
-        let (wall, s) = serve(true, reps);
-        wall_verify = wall_verify.min(wall);
-        sim = s;
+    for round in 0..6 {
+        let order = if round % 2 == 0 {
+            [false, true]
+        } else {
+            [true, false]
+        };
+        for verify_all in order {
+            let (wall, s) = serve(verify_all, reps);
+            if verify_all {
+                wall_verify = wall_verify.min(wall);
+                sim = s;
+            } else {
+                wall_base = wall_base.min(wall);
+            }
+        }
     }
     let overhead = (wall_verify - wall_base) / wall_base;
     println!(
@@ -1231,6 +1244,90 @@ fn verify_all_overhead() -> BenchEntry {
     )
     .extra("verify_overhead", overhead)
     .extra("serves_per_sample", reps as f64)
+}
+
+/// Ceiling on the admission verifier's cost relative to the cost pass
+/// over the same stream, asserted by CI on the `lint_resident` group.
+const LINT_RATIO_CEILING: f64 = 4.0;
+
+/// The two static passes over one stream shaped like a resident
+/// `RuleClassify` query: 64 ternary searches, 32 packets over each of
+/// two 80-entry resident CAM tiles at the pool's tile geometry. Under
+/// `verify_all_programs` both passes run on every such query at
+/// admission, so the safety pass should cost about what the cost pass
+/// does. Each timing is the fastest of 100 interleaved batches of 200
+/// calls: short batches let the minimum find quiet moments on a shared
+/// host.
+fn lint_resident() -> BenchEntry {
+    println!("\n# LINT RESIDENT — safety pass vs cost pass on a RuleClassify-shaped stream\n");
+    let cfg = PoolConfig::default();
+    let entries = cfg.tile_rows / 2;
+    let geometry = Geometry {
+        digital_tiles: 2,
+        tile_rows: cfg.tile_rows,
+        tile_cols: cfg.tile_cols,
+        analog_tiles: 0,
+        analog_rows: cfg.analog_rows,
+        analog_cols: cfg.analog_cols,
+        scout_fan_in: cfg.scout_fan_in,
+    };
+    let target = LintTarget::new(geometry)
+        .with_resident_rows(0, 0..2 * entries)
+        .with_resident_rows(1, 0..2 * entries);
+    let mut rng = seeded(0x11E7);
+    let program: Vec<CimInstruction> = (0..32)
+        .flat_map(|_| {
+            let key = BitVec::from_fn(cfg.tile_cols, |j| j < 48 && rng.gen_bool(0.5));
+            (0..2).map(move |tile| CimInstruction::MatchSearch {
+                tile,
+                entries,
+                key: key.clone(),
+                kind: MatchKind::Ternary,
+            })
+        })
+        .collect();
+    let outputs: Vec<usize> = (0..program.len()).collect();
+    let model = CostModel::default();
+    let report = cim_lint::lint(&program, &outputs, &target);
+    assert!(report.is_clean(), "{}", report.to_text());
+
+    const CALLS: usize = 200;
+    let per_call_us = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..CALLS {
+            f();
+        }
+        start.elapsed().as_secs_f64() * 1e6 / CALLS as f64
+    };
+    let mut check = || {
+        std::hint::black_box(cim_lint::lint(&program, &outputs, &target));
+    };
+    let mut cost = || {
+        std::hint::black_box(cim_lint::cost(&program, &geometry, &model));
+    };
+    let (mut check_us, mut cost_us) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..100 {
+        check_us = check_us.min(per_call_us(&mut check));
+        cost_us = cost_us.min(per_call_us(&mut cost));
+    }
+    let ratio = check_us / cost_us;
+    println!(
+        "{:>8} {:>10} {:>10} {:>8}",
+        "instrs", "check us", "cost us", "ratio"
+    );
+    println!(
+        "{:>8} {:>10.3} {:>10.3} {:>7.2}x  (CI ceiling {LINT_RATIO_CEILING}x)",
+        program.len(),
+        check_us,
+        cost_us,
+        ratio
+    );
+    BenchEntry::new("lint_resident", 0.0, check_us * 1e-3, ratio)
+        .extra("check_us", check_us)
+        .extra("cost_us", cost_us)
+        .extra("ratio", ratio)
+        .extra("ratio_ceiling", LINT_RATIO_CEILING)
+        .extra("instructions", program.len() as f64)
 }
 
 /// The offload planner's wall-clock case: a swarm of tiny host-winning
@@ -1435,6 +1532,7 @@ fn main() {
     entries.push(nn_resident_amortization());
     entries.push(cam_search_vs_host_scan());
     entries.push(oversized_q6());
+    entries.push(lint_resident());
     entries.push(verify_all_overhead());
     entries.push(host_offload());
     entries.push(observability());

@@ -10,6 +10,7 @@
 
 use cim_simkit::bitvec::BitVec;
 use cim_simkit::linalg::Matrix;
+use std::ops::Range;
 
 pub use cim_crossbar::cam::MatchKind;
 pub use cim_crossbar::scouting::ScoutOp;
@@ -184,6 +185,49 @@ pub enum TileFamily {
     Analog,
 }
 
+/// The digital rows one instruction senses or stores into, borrowed
+/// from the instruction or described by a span: a search over `n` CAM
+/// entries reads `2n` rows without listing them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rows<'a> {
+    /// Rows listed one by one, in operand order. A logic operation's
+    /// activated rows may repeat.
+    Listed(&'a [usize]),
+    /// Every row of a contiguous span.
+    Span(Range<usize>),
+}
+
+impl Rows<'_> {
+    /// No rows at all.
+    pub const NONE: Rows<'static> = Rows::Listed(&[]);
+
+    /// The rows in order: operand order for a list, ascending for a
+    /// span.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (listed, span) = match self {
+            Rows::Listed(rows) => (*rows, 0..0),
+            Rows::Span(span) => (&[][..], span.clone()),
+        };
+        listed.iter().copied().chain(span)
+    }
+
+    /// How many rows (a repeated listed row counts each time).
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            Rows::Listed(rows) => rows.len(),
+            Rows::Span(span) => span.len(),
+        }
+    }
+
+    /// Whether the instruction touches no row.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// The static effect summary of one instruction: which tile it
 /// addresses, which digital rows it reads and writes, whether it
 /// defines or consumes the accelerator's `last_bits` latch, and which
@@ -193,9 +237,11 @@ pub enum TileFamily {
 /// (the `cim-lint` abstract interpreter walks a program folding these
 /// summaries): it is derived here, next to the executor semantics, so
 /// the analysis can never drift from what [`CimInstruction`] actually
-/// does to a tile.
+/// does to a tile. A summary borrows its listed rows from the
+/// instruction and describes contiguous rows as spans, so building one
+/// never allocates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EffectSummary {
+pub struct EffectSummary<'a> {
     /// The tile family the instruction addresses.
     pub family: TileFamily,
     /// The tile index within its family.
@@ -203,10 +249,10 @@ pub struct EffectSummary {
     /// Digital rows the instruction senses (activated rows of a logic
     /// operation, the read row, the value+care rows of a match-line
     /// search). Empty for analog instructions.
-    pub rows_read: Vec<usize>,
+    pub rows_read: Rows<'a>,
     /// Digital rows the instruction stores into (row writes, latch
     /// write-backs, the value+care row pair of a CAM key write).
-    pub rows_written: Vec<usize>,
+    pub rows_written: Rows<'a>,
     /// Whether the instruction leaves a bit-vector result in the
     /// `last_bits` latch for a following
     /// [`CimInstruction::StoreLast`]. Match searches return bits but do
@@ -219,7 +265,7 @@ pub struct EffectSummary {
     pub consumes_latch: bool,
     /// CAM entry slots the instruction touches (the written slot of a
     /// key write; every searched slot of a match search).
-    pub cam_slots: Vec<usize>,
+    pub cam_slots: Range<usize>,
     /// Whether the instruction senses the tile's programmed matrix
     /// (analog MVMs, forward and transpose).
     pub reads_matrix: bool,
@@ -227,18 +273,18 @@ pub struct EffectSummary {
     pub writes_matrix: bool,
 }
 
-impl EffectSummary {
+impl EffectSummary<'_> {
     /// An effect-free summary addressing one tile; the per-instruction
     /// constructors fill in what actually happens.
     fn at(family: TileFamily, tile: usize) -> Self {
         EffectSummary {
             family,
             tile,
-            rows_read: Vec::new(),
-            rows_written: Vec::new(),
+            rows_read: Rows::NONE,
+            rows_written: Rows::NONE,
             defines_latch: false,
             consumes_latch: false,
-            cam_slots: Vec::new(),
+            cam_slots: 0..0,
             reads_matrix: false,
             writes_matrix: false,
         }
@@ -253,36 +299,37 @@ impl CimInstruction {
     /// (the executor puts the taken value back), and a `MatchSearch`
     /// reads the value+care row pair of every searched entry without
     /// touching the latch.
-    pub fn effects(&self) -> EffectSummary {
+    #[inline]
+    pub fn effects(&self) -> EffectSummary<'_> {
         match self {
             CimInstruction::WriteRow { tile, row, .. } => EffectSummary {
-                rows_written: vec![*row],
+                rows_written: Rows::Listed(std::slice::from_ref(row)),
                 ..EffectSummary::at(TileFamily::Digital, *tile)
             },
             CimInstruction::ReadRow { tile, row } => EffectSummary {
-                rows_read: vec![*row],
+                rows_read: Rows::Listed(std::slice::from_ref(row)),
                 defines_latch: true,
                 ..EffectSummary::at(TileFamily::Digital, *tile)
             },
             CimInstruction::Logic { tile, rows, .. } => EffectSummary {
-                rows_read: rows.clone(),
+                rows_read: Rows::Listed(rows),
                 defines_latch: true,
                 ..EffectSummary::at(TileFamily::Digital, *tile)
             },
             CimInstruction::StoreLast { tile, row } => EffectSummary {
-                rows_written: vec![*row],
+                rows_written: Rows::Listed(std::slice::from_ref(row)),
                 defines_latch: true,
                 consumes_latch: true,
                 ..EffectSummary::at(TileFamily::Digital, *tile)
             },
             CimInstruction::WriteKey { tile, slot, .. } => EffectSummary {
-                rows_written: vec![2 * slot, 2 * slot + 1],
-                cam_slots: vec![*slot],
+                rows_written: Rows::Span(2 * slot..2 * slot + 2),
+                cam_slots: *slot..slot + 1,
                 ..EffectSummary::at(TileFamily::Digital, *tile)
             },
             CimInstruction::MatchSearch { tile, entries, .. } => EffectSummary {
-                rows_read: (0..2 * entries).collect(),
-                cam_slots: (0..*entries).collect(),
+                rows_read: Rows::Span(0..2 * entries),
+                cam_slots: 0..*entries,
                 ..EffectSummary::at(TileFamily::Digital, *tile)
             },
             CimInstruction::ProgramMatrix { tile, .. } => EffectSummary {
@@ -391,7 +438,7 @@ mod tests {
         let e = st.effects();
         assert_eq!(e.family, TileFamily::Digital);
         assert_eq!(e.tile, 1);
-        assert_eq!(e.rows_written, vec![5]);
+        assert_eq!(e.rows_written, Rows::Listed(&[5]));
         // The executor takes the latch and puts the value back.
         assert!(e.consumes_latch && e.defines_latch);
 
@@ -401,7 +448,7 @@ mod tests {
             rows: vec![2, 7, 3],
         };
         let e = logic.effects();
-        assert_eq!(e.rows_read, vec![2, 7, 3]);
+        assert_eq!(e.rows_read, Rows::Listed(&[2, 7, 3]));
         assert!(e.defines_latch && !e.consumes_latch);
         assert!(e.rows_written.is_empty());
 
@@ -412,8 +459,8 @@ mod tests {
             care: BitVec::ones(8),
         };
         let e = wk.effects();
-        assert_eq!(e.rows_written, vec![6, 7], "TCAM row pair of slot 3");
-        assert_eq!(e.cam_slots, vec![3]);
+        assert_eq!(e.rows_written, Rows::Span(6..8), "TCAM row pair of slot 3");
+        assert_eq!(e.cam_slots, 3..4);
 
         let ms = CimInstruction::MatchSearch {
             tile: 0,
@@ -422,8 +469,8 @@ mod tests {
             kind: MatchKind::Exact,
         };
         let e = ms.effects();
-        assert_eq!(e.rows_read, vec![0, 1, 2, 3]);
-        assert_eq!(e.cam_slots, vec![0, 1]);
+        assert_eq!(e.rows_read.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(e.cam_slots, 0..2);
         // Match sets are entry-indexed, not a storable latch operand.
         assert!(!e.defines_latch);
 
@@ -448,10 +495,11 @@ mod tests {
         // The in-place tile accessor agrees with the effect summary.
         for mut instr in [st, logic, wk, ms, pm, mv, mvt] {
             let e = instr.effects();
+            let (e_family, e_tile) = (e.family, e.tile);
             let (family, tile) = instr.tile_mut();
-            assert_eq!((family, *tile), (e.family, e.tile), "{instr:?}");
+            assert_eq!((family, *tile), (e_family, e_tile), "{instr:?}");
             *tile += 10;
-            assert_eq!(instr.effects().tile, e.tile + 10, "{instr:?}");
+            assert_eq!(instr.effects().tile, e_tile + 10, "{instr:?}");
         }
     }
 

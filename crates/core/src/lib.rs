@@ -62,5 +62,5 @@ pub mod offload;
 
 pub use accelerator::{CimAccelerator, CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
 pub use address::{AddressMap, TileRow};
-pub use isa::{CimClass, CimInstruction, CimResponse, EffectSummary, MatchKind, TileFamily};
+pub use isa::{CimClass, CimInstruction, CimResponse, EffectSummary, MatchKind, Rows, TileFamily};
 pub use offload::{OffloadEstimate, Program, Section};

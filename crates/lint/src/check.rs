@@ -2,11 +2,19 @@
 //! instruction's [`cim_core::EffectSummary`] into an abstract machine
 //! state and emitting [`Diagnostic`]s where the program would fault,
 //! waste work, or touch resident data.
+//!
+//! Row state is held as packed row sets ([`BitVec`], bit `r` = row
+//! `r`): the initialized rows of each digital tile and the resident
+//! rows of the target. A rule over a span of rows — a match search
+//! senses every value+care row of its entries — is one masked word
+//! fold per 64 rows, and a diagnostic's row list is only built when the
+//! fold finds a row.
 
 use crate::diag::{Diagnostic, LintReport, RuleCode};
 use cim_core::isa::ScoutOp;
-use cim_core::{CimInstruction, TileFamily};
-use std::collections::BTreeSet;
+use cim_core::{CimInstruction, EffectSummary, Rows, TileFamily};
+use cim_simkit::bitvec::BitVec;
+use std::sync::Arc;
 
 /// The tile geometry a program is verified against.
 ///
@@ -43,9 +51,15 @@ pub struct Geometry {
 pub struct LintTarget {
     /// The tile geometry.
     pub geometry: Geometry,
-    /// Per digital tile: rows resident (initialized and protected)
-    /// before the program runs. Indexed by virtual tile.
-    pub resident_digital: Vec<BTreeSet<usize>>,
+    /// Per digital tile, indexed by virtual tile: the rows resident
+    /// (initialized and protected) before the program runs, as a row
+    /// set with bit `r` standing for row `r`. Rows past a set's end
+    /// are not resident, and tiles past the list's end hold no
+    /// resident rows; a set may also run past the tile, and rows
+    /// granted there stay protected. The sets sit behind an [`Arc`] so
+    /// a dataset builds them once and every query's target shares them
+    /// ([`LintTarget::with_resident_row_sets`]).
+    pub resident_digital: Arc<Vec<BitVec>>,
     /// Per analog tile: whether a matrix is resident (programmed and
     /// protected) before the program runs.
     pub resident_analog: Vec<bool>,
@@ -56,20 +70,48 @@ impl LintTarget {
     pub fn new(geometry: Geometry) -> Self {
         LintTarget {
             geometry,
-            resident_digital: vec![BTreeSet::new(); geometry.digital_tiles],
+            resident_digital: Arc::default(),
             resident_analog: vec![false; geometry.analog_tiles],
         }
     }
 
-    /// Marks `rows` of digital tile `tile` resident.
+    /// Marks `rows` of digital tile `tile` resident. A tile outside
+    /// the geometry is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is too large for its row set to be allocated.
     pub fn with_resident_rows(
         mut self,
         tile: usize,
         rows: impl IntoIterator<Item = usize>,
     ) -> Self {
-        if tile < self.resident_digital.len() {
-            self.resident_digital[tile].extend(rows);
+        if tile < self.geometry.digital_tiles {
+            let rows: Vec<usize> = rows.into_iter().collect();
+            let sets = Arc::make_mut(&mut self.resident_digital);
+            if sets.len() <= tile {
+                sets.resize(tile + 1, BitVec::default());
+            }
+            let set = &mut sets[tile];
+            let len = rows.iter().map(|&r| r + 1).max().unwrap_or(0);
+            if len > set.len() {
+                let mut words = set.words().to_vec();
+                words.resize(len.div_ceil(64), 0);
+                *set = BitVec::from_words(words, len);
+            }
+            for row in rows {
+                set.set(row, true);
+            }
         }
+        self
+    }
+
+    /// Replaces the resident digital rows with `sets`, indexed by
+    /// virtual tile (see [`LintTarget::resident_digital`]). Sets past
+    /// the geometry's tiles are never consulted: the tile bound is
+    /// checked before any row rule.
+    pub fn with_resident_row_sets(mut self, sets: Arc<Vec<BitVec>>) -> Self {
+        self.resident_digital = sets;
         self
     }
 
@@ -114,12 +156,28 @@ struct LatchDef {
 /// instruction index, then rule code.
 pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) -> LintReport {
     let geo = target.geometry;
-    let outputs: BTreeSet<usize> = outputs.iter().copied().collect();
+    // Returned instructions as a set over the program (only indices
+    // inside it can be latch definitions), built at the first latch
+    // definition: a search-only stream never needs it.
+    let mut returned: Option<BitVec> = None;
+    let mut is_returned = |index: usize| {
+        returned
+            .get_or_insert_with(|| {
+                let mut set = BitVec::zeros(program.len());
+                for &o in outputs.iter().filter(|&&o| o < program.len()) {
+                    set.set(o, true);
+                }
+                set
+            })
+            .get(index)
+    };
     let mut diags: Vec<Diagnostic> = Vec::new();
-    // Initialized rows per digital tile, seeded with the resident rows.
-    let mut init: Vec<BTreeSet<usize>> = (0..geo.digital_tiles)
-        .map(|t| target.resident_digital.get(t).cloned().unwrap_or_default())
-        .collect();
+    // Rows written in-stream, every tile in one row set: tile `t`'s row
+    // `r` is bit `64 * stride * t + r`. Allocated at the first write, so
+    // a read-only query stream never allocates it. A row is initialized
+    // when it is resident or written.
+    let stride = geo.tile_rows.div_ceil(64);
+    let mut written = BitVec::default();
     let mut analog: Vec<AnalogState> = (0..geo.analog_tiles)
         .map(|t| {
             if target.resident_analog.get(t).copied().unwrap_or(false) {
@@ -133,7 +191,6 @@ pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) 
 
     for (i, instr) in program.iter().enumerate() {
         let fx = instr.effects();
-        let mn = instr.mnemonic();
 
         // Tile bounds first: everything else indexes per-tile state.
         let granted = match fx.family {
@@ -148,70 +205,64 @@ pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) 
             diags.push(Diagnostic::new(
                 RuleCode::TileBounds,
                 i,
-                format!("{mn} addresses {family} tile {t} but the program demands {granted} {family} tile(s)", t = fx.tile),
+                format!(
+                    "{mn} addresses {family} tile {t} but the program demands {granted} \
+                     {family} tile(s)",
+                    mn = instr.mnemonic(),
+                    t = fx.tile
+                ),
             ));
             continue;
         }
 
         match fx.family {
             TileFamily::Digital => {
-                check_digital_widths(instr, i, geo.tile_cols, &mut diags);
-                check_row_bounds(
-                    instr,
-                    &fx.rows_read,
-                    &fx.rows_written,
-                    i,
-                    geo.tile_rows,
-                    &mut diags,
-                );
-                if let CimInstruction::Logic { op, rows, .. } = instr {
-                    check_arity(*op, rows, i, geo.scout_fan_in, &mut diags);
-                }
+                check_operands(instr, &fx, i, geo, &mut diags);
 
-                // Reads of rows nothing initialized (in-bounds only, to
-                // avoid doubling up on the bounds diagnostic).
-                let uninit: Vec<usize> = fx
-                    .rows_read
-                    .iter()
-                    .copied()
-                    .filter(|&r| r < geo.tile_rows && !init[fx.tile].contains(&r))
-                    .collect::<BTreeSet<_>>()
-                    .into_iter()
-                    .collect();
-                if !uninit.is_empty() {
+                // Reads of rows nothing initialized:
+                // `read & !(resident | written)`, in-bounds only, to
+                // avoid doubling up on the bounds diagnostic.
+                let resident = target
+                    .resident_digital
+                    .get(fx.tile)
+                    .map_or(&[][..], BitVec::words);
+                let base = stride * fx.tile;
+                let init = |w: usize| word(resident, w) | word(written.words(), base + w);
+                if any_where(&fx.rows_read, geo.tile_rows, false, init) {
+                    let uninit = rows_where(&fx.rows_read, geo.tile_rows, false, init);
                     diags.push(Diagnostic::new(
                         RuleCode::UninitRead,
                         i,
                         format!(
                             "{mn} senses uninitialized row(s) {uninit:?} of tile {t}",
+                            mn = instr.mnemonic(),
                             t = fx.tile
                         ),
                     ));
                 }
 
-                // Writes over the resident dataset's pinned rows.
-                let protected: Vec<usize> = fx
-                    .rows_written
-                    .iter()
-                    .copied()
-                    .filter(|r| {
-                        target
-                            .resident_digital
-                            .get(fx.tile)
-                            .is_some_and(|rows| rows.contains(r))
-                    })
-                    .collect::<BTreeSet<_>>()
-                    .into_iter()
-                    .collect();
-                if !protected.is_empty() {
-                    diags.push(Diagnostic::new(
-                        RuleCode::ResidentWrite,
-                        i,
-                        format!(
-                            "{mn} writes resident dataset row(s) {protected:?} of tile {t}",
-                            t = fx.tile
-                        ),
-                    ));
+                if !fx.rows_written.is_empty() {
+                    // Writes over the resident dataset's pinned rows:
+                    // `written & resident`.
+                    let (end, pinned) = (64 * resident.len(), |w| word(resident, w));
+                    if any_where(&fx.rows_written, end, true, pinned) {
+                        let protected = rows_where(&fx.rows_written, end, true, pinned);
+                        diags.push(Diagnostic::new(
+                            RuleCode::ResidentWrite,
+                            i,
+                            format!(
+                                "{mn} writes resident dataset row(s) {protected:?} of tile {t}",
+                                mn = instr.mnemonic(),
+                                t = fx.tile
+                            ),
+                        ));
+                    }
+                    if written.is_empty() {
+                        written = BitVec::zeros(64 * stride * geo.digital_tiles);
+                    }
+                    for w in fx.rows_written.iter().filter(|&w| w < geo.tile_rows) {
+                        written.set(64 * base + w, true);
+                    }
                 }
 
                 // Latch def-use.
@@ -220,7 +271,11 @@ pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) 
                         None => diags.push(Diagnostic::new(
                             RuleCode::LatchUndef,
                             i,
-                            format!("{mn} consumes the last_bits latch but no prior instruction defined it"),
+                            format!(
+                                "{mn} consumes the last_bits latch but no prior instruction \
+                                 defined it",
+                                mn = instr.mnemonic()
+                            ),
                         )),
                         Some(def) => def.used = true,
                     }
@@ -234,20 +289,14 @@ pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) 
                     }
                 } else if fx.defines_latch {
                     if let Some(prev) = latch {
-                        if !prev.used && !outputs.contains(&prev.index) {
+                        if !prev.used && !is_returned(prev.index) {
                             diags.push(dead_latch(prev.index, i));
                         }
                     }
                     latch = Some(LatchDef {
                         index: i,
-                        used: outputs.contains(&i),
+                        used: is_returned(i),
                     });
-                }
-
-                for &w in &fx.rows_written {
-                    if w < geo.tile_rows {
-                        init[fx.tile].insert(w);
-                    }
                 }
             }
             TileFamily::Analog => {
@@ -257,7 +306,7 @@ pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) 
     }
 
     if let Some(prev) = latch {
-        if !prev.used && !outputs.contains(&prev.index) {
+        if !prev.used && !is_returned(prev.index) {
             diags.push(dead_latch(prev.index, program.len()));
         }
     }
@@ -268,6 +317,56 @@ pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) 
             .then_with(|| a.rule.code().cmp(b.rule.code()))
     });
     LintReport { diagnostics: diags }
+}
+
+/// Word `w` of a packed row set; words past its end read as clear.
+fn word(set: &[u64], w: usize) -> u64 {
+    set.get(w).copied().unwrap_or(0)
+}
+
+/// Whether a row of `rows` below `end` has bit `want` in the packed row
+/// set whose words `word_at` reads. A span folds one masked word per 64
+/// rows.
+fn any_where(rows: &Rows<'_>, end: usize, want: bool, word_at: impl Fn(usize) -> u64) -> bool {
+    match rows {
+        Rows::Listed(listed) => listed
+            .iter()
+            .any(|&r| r < end && (word_at(r / 64) >> (r % 64) & 1 == 1) == want),
+        Rows::Span(span) => {
+            let end = span.end.min(end);
+            let mut lo = span.start;
+            while lo < end {
+                let w = lo / 64;
+                let hi = end.min(w * 64 + 64);
+                let mask = (!0u64 >> (64 - (hi - lo))) << (lo % 64);
+                let bits = word_at(w);
+                if mask & if want { bits } else { !bits } != 0 {
+                    return true;
+                }
+                lo = hi;
+            }
+            false
+        }
+    }
+}
+
+/// The rows [`any_where`] looks for, ascending and distinct: built only
+/// once it found one, for the diagnostic's message.
+#[cold]
+fn rows_where(
+    rows: &Rows<'_>,
+    end: usize,
+    want: bool,
+    word_at: impl Fn(usize) -> u64,
+) -> Vec<usize> {
+    let hit = |&r: &usize| r < end && (word_at(r / 64) >> (r % 64) & 1 == 1) == want;
+    let mut hits: Vec<usize> = match rows {
+        Rows::Listed(listed) => listed.iter().copied().filter(hit).collect(),
+        Rows::Span(span) => (span.start..span.end.min(end)).filter(hit).collect(),
+    };
+    hits.sort_unstable();
+    hits.dedup();
+    hits
 }
 
 /// A dead-latch warning anchored at the defining instruction,
@@ -282,54 +381,28 @@ fn dead_latch(defined_at: usize, died_at: usize) -> Diagnostic {
     )
 }
 
-/// Bit-vector operand widths must match the tile width exactly (the
-/// tile asserts this at execution).
-fn check_digital_widths(
+/// Operand shapes the tile cannot execute: bit vectors narrower or
+/// wider than the tile (the tile asserts widths at execution), rows,
+/// CAM slots and entry ranges outside the tile, and logic operand
+/// lists the sense amplifier cannot realize.
+fn check_operands(
     instr: &CimInstruction,
+    fx: &EffectSummary<'_>,
     i: usize,
-    tile_cols: usize,
+    geo: Geometry,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let mut bad = |what: &str, width: usize| {
-        diags.push(Diagnostic::new(
-            RuleCode::WidthMismatch,
-            i,
-            format!(
-                "{mn} {what} is {width} bits wide, the tile is {tile_cols}",
-                mn = instr.mnemonic()
-            ),
-        ));
-    };
+    let (tile_rows, tile_cols) = (geo.tile_rows, geo.tile_cols);
     match instr {
-        CimInstruction::WriteRow { bits, .. } if bits.len() != tile_cols => {
-            bad("operand", bits.len());
-        }
-        CimInstruction::WriteKey { value, care, .. } => {
+        CimInstruction::WriteKey {
+            slot, value, care, ..
+        } => {
             if value.len() != tile_cols {
-                bad("value", value.len());
+                diags.push(width_mismatch(instr, i, "value", value.len(), tile_cols));
             }
             if care.len() != tile_cols {
-                bad("care mask", care.len());
+                diags.push(width_mismatch(instr, i, "care mask", care.len(), tile_cols));
             }
-        }
-        CimInstruction::MatchSearch { key, .. } if key.len() != tile_cols => {
-            bad("search key", key.len());
-        }
-        _ => {}
-    }
-}
-
-/// Row, CAM slot and entry ranges must stay inside the tile.
-fn check_row_bounds(
-    instr: &CimInstruction,
-    rows_read: &[usize],
-    rows_written: &[usize],
-    i: usize,
-    tile_rows: usize,
-    diags: &mut Vec<Diagnostic>,
-) {
-    match instr {
-        CimInstruction::WriteKey { slot, .. } => {
             if 2 * slot + 1 >= tile_rows {
                 diags.push(Diagnostic::new(
                     RuleCode::RowBounds,
@@ -344,7 +417,10 @@ fn check_row_bounds(
                 ));
             }
         }
-        CimInstruction::MatchSearch { entries, .. } => {
+        CimInstruction::MatchSearch { entries, key, .. } => {
+            if key.len() != tile_cols {
+                diags.push(width_mismatch(instr, i, "search key", key.len(), tile_cols));
+            }
             if 2 * entries > tile_rows {
                 diags.push(Diagnostic::new(
                     RuleCode::RowBounds,
@@ -360,26 +436,67 @@ fn check_row_bounds(
             }
         }
         _ => {
-            let oob: Vec<usize> = rows_read
-                .iter()
-                .chain(rows_written)
-                .copied()
-                .filter(|&r| r >= tile_rows)
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            if !oob.is_empty() {
-                diags.push(Diagnostic::new(
-                    RuleCode::RowBounds,
-                    i,
-                    format!(
-                        "{mn} addresses row(s) {oob:?}, the tile has {tile_rows} rows",
-                        mn = instr.mnemonic()
-                    ),
-                ));
+            if let CimInstruction::WriteRow { bits, .. } = instr {
+                if bits.len() != tile_cols {
+                    diags.push(width_mismatch(instr, i, "operand", bits.len(), tile_cols));
+                }
+            }
+            let mut rows = fx.rows_read.iter().chain(fx.rows_written.iter());
+            if rows.any(|r| r >= tile_rows) {
+                diags.push(out_of_bounds(instr, fx, i, tile_rows));
+            }
+            if let CimInstruction::Logic { op, rows, .. } = instr {
+                check_arity(*op, rows, i, geo.scout_fan_in, diags);
             }
         }
     }
+}
+
+/// The width diagnostic of a bit-vector operand that is not
+/// `tile_cols` bits wide.
+#[cold]
+fn width_mismatch(
+    instr: &CimInstruction,
+    i: usize,
+    what: &str,
+    width: usize,
+    tile_cols: usize,
+) -> Diagnostic {
+    Diagnostic::new(
+        RuleCode::WidthMismatch,
+        i,
+        format!(
+            "{mn} {what} is {width} bits wide, the tile is {tile_cols}",
+            mn = instr.mnemonic()
+        ),
+    )
+}
+
+/// The row-bounds diagnostic of an instruction addressing rows past
+/// the tile, listing them ascending and distinct.
+#[cold]
+fn out_of_bounds(
+    instr: &CimInstruction,
+    fx: &EffectSummary<'_>,
+    i: usize,
+    tile_rows: usize,
+) -> Diagnostic {
+    let mut oob: Vec<usize> = fx
+        .rows_read
+        .iter()
+        .chain(fx.rows_written.iter())
+        .filter(|&r| r >= tile_rows)
+        .collect();
+    oob.sort_unstable();
+    oob.dedup();
+    Diagnostic::new(
+        RuleCode::RowBounds,
+        i,
+        format!(
+            "{mn} addresses row(s) {oob:?}, the tile has {tile_rows} rows",
+            mn = instr.mnemonic()
+        ),
+    )
 }
 
 /// Operand lists the sense amplifier cannot realize.
@@ -396,11 +513,23 @@ fn check_arity(op: ScoutOp, rows: &[usize], i: usize, fan_in: usize, diags: &mut
             rows.len()
         ));
     }
-    let distinct: BTreeSet<usize> = rows.iter().copied().collect();
-    if distinct.len() != rows.len() {
+    if has_duplicate(rows) {
         bad(format!(
             "duplicate activated rows {rows:?} (a row can only be activated once per access)"
         ));
+    }
+}
+
+/// Whether an operand list names a row twice: pairwise for the short
+/// lists the scouting fan-in allows, through a sorted copy for longer
+/// ones.
+fn has_duplicate(rows: &[usize]) -> bool {
+    if rows.len() <= 16 {
+        rows.iter().enumerate().any(|(k, r)| rows[..k].contains(r))
+    } else {
+        let mut sorted = rows.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).any(|w| w[0] == w[1])
     }
 }
 

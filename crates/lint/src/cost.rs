@@ -360,8 +360,8 @@ pub fn cost(program: &[CimInstruction], geometry: &Geometry, model: &CostModel) 
         // program-pulse bound instead.
         let fx = instr.effects();
         if fx.family == TileFamily::Digital {
-            for row in &fx.rows_written {
-                *env.row_wear.entry((fx.tile, *row)).or_insert(0) += 1;
+            for row in fx.rows_written.iter() {
+                *env.row_wear.entry((fx.tile, row)).or_insert(0) += 1;
             }
         }
         env.cost_units += scheduler_weight(instr);

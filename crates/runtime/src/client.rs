@@ -46,8 +46,9 @@ impl PoolClient {
     /// handle to its eventual report.
     ///
     /// Compilation errors (workload does not fit the pool geometry,
-    /// unknown or foreign dataset, empty work) surface immediately;
-    /// execution errors surface in the report's `output`.
+    /// unknown or foreign dataset, empty work, a pool that was already
+    /// dropped) surface immediately; execution errors surface in the
+    /// report's `output`.
     pub fn submit(&self, spec: &WorkloadSpec) -> Result<JobHandle, CompileError> {
         let job = self.shared.submit_spec(self.tenant, spec)?;
         Ok(JobHandle {
@@ -154,12 +155,8 @@ impl JobHandle {
     }
 
     /// Flushes the pool if needed and blocks until the job's report is
-    /// ready.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the [`crate::RuntimePool`] is dropped before the
-    /// report arrives.
+    /// ready. A job still queued when its [`crate::RuntimePool`] was
+    /// dropped reports [`crate::JobError::PoolShutDown`].
     pub fn wait(self) -> JobReport {
         self.shared.wait_job(self.job)
         // `Drop` runs next but finds the slot already taken: no-op.

@@ -566,6 +566,9 @@ pub enum CompileError {
         /// The network's input width.
         expected: usize,
     },
+    /// The [`crate::RuntimePool`] was dropped: a session that outlives
+    /// its pool can no longer submit or register.
+    PoolShutDown,
 }
 
 impl fmt::Display for CompileError {
@@ -622,6 +625,7 @@ impl fmt::Display for CompileError {
             CompileError::InputLengthMismatch { got, expected } => {
                 write!(f, "input has length {got}, the network expects {expected}")
             }
+            CompileError::PoolShutDown => write!(f, "the pool has shut down"),
         }
     }
 }
@@ -2739,10 +2743,12 @@ mod tests {
     #[test]
     fn nn_query_carries_no_weight_writes() {
         let mlp = BinarizedMlp::random(&[8, 6, 3], 5);
+        let payload = ResidentPayload::Nn {
+            network: Arc::new(mlp.clone()),
+        };
         let view = ResidentView {
-            payload: ResidentPayload::Nn {
-                network: Arc::new(mlp.clone()),
-            },
+            resident_rows: crate::verify::resident_row_sets(&payload),
+            payload,
             digital_tiles: 0,
             placement: None,
             resident_bytes: mlp.weight_count() as u64 / 8,
@@ -2830,6 +2836,7 @@ mod tests {
             let program = compile_dataset_load(load, &c, seed).unwrap();
             let view = ResidentView {
                 payload: program.payload.clone(),
+                resident_rows: crate::verify::resident_row_sets(&program.payload),
                 digital_tiles: program.demand.digital,
                 placement: None,
                 resident_bytes: program.resident_bytes,

@@ -24,6 +24,7 @@ use cim_crossbar::cam::RuleSet;
 use cim_hdc::lang::LanguageTask;
 use cim_nn::binarized::BinarizedMlp;
 use cim_obs::SpanId;
+use cim_simkit::bitvec::BitVec;
 use std::sync::Arc;
 
 /// A data set that can be made resident in pool tiles and queried
@@ -224,6 +225,9 @@ impl ResidentPayload {
 #[derive(Debug, Clone)]
 pub(crate) struct ResidentView {
     pub payload: ResidentPayload,
+    /// The rows the dataset pins, one row set per virtual digital tile
+    /// (see [`crate::verify::resident_row_sets`]).
+    pub resident_rows: Arc<Vec<BitVec>>,
     /// Number of digital tiles the dataset pins.
     pub digital_tiles: usize,
     /// The dataset's resident window.
@@ -269,6 +273,9 @@ pub(crate) struct DatasetRecord {
     /// virtual tiles `sum(len of 0..c) ..+ len(c)`).
     pub placements: Vec<ShardPlacement>,
     pub payload: ResidentPayload,
+    /// The rows the dataset pins, as the verifier's row sets, built at
+    /// registration.
+    pub resident_rows: Arc<Vec<BitVec>>,
     /// Bytes resident in the pinned tiles.
     pub resident_bytes: u64,
     /// The dataset's resident window in the extended address space.
@@ -296,6 +303,7 @@ impl DatasetRecord {
     pub fn view(&self) -> ResidentView {
         ResidentView {
             payload: self.payload.clone(),
+            resident_rows: Arc::clone(&self.resident_rows),
             digital_tiles: self.placements.iter().map(|p| p.digital_tiles.len()).sum(),
             placement: self.placement,
             resident_bytes: self.resident_bytes,

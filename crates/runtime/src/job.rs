@@ -554,6 +554,11 @@ pub enum JobError {
         /// workloads are not split).
         analog_capacity: usize,
     },
+    /// The [`crate::RuntimePool`] was dropped before the job could run:
+    /// it was still queued when the shard workers exited. Terminal; a
+    /// session that outlives its pool gets this report instead of a
+    /// panic.
+    PoolShutDown,
 }
 
 impl fmt::Display for JobError {
@@ -607,6 +612,7 @@ impl fmt::Display for JobError {
                  analog tiles, the pool can ever grant {digital_capacity} + {analog_capacity}: \
                  split the workload or grow the pool"
             ),
+            JobError::PoolShutDown => write!(f, "the pool shut down before the job ran"),
         }
     }
 }

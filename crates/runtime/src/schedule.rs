@@ -349,6 +349,8 @@ struct GatherState {
 /// submission to report completion. Maintained even when tracing is
 /// disabled: the `Instant`s become [`JobTiming`] on the report.
 struct JobLifecycle {
+    /// Who the job is, for a report the pool synthesizes itself.
+    identity: JobIdentity,
     /// The job's root span (NONE when tracing is disabled).
     root: SpanId,
     /// The queue span, open from admission until first dispatch.
@@ -381,6 +383,10 @@ struct PoolState {
     next_batch: u64,
     next_dataset: u64,
     telemetry: PoolTelemetry,
+    /// Set by [`RuntimePool`]'s drop before the shard workers are told
+    /// to exit. Every send to a worker happens under the state lock
+    /// after checking it, so nothing is sent to a worker that is gone.
+    shut_down: bool,
 }
 
 /// State shared between the pool, its sessions and its handles.
@@ -486,6 +492,7 @@ impl RuntimePool {
                     next_batch: 0,
                     next_dataset: 0,
                     telemetry: PoolTelemetry::new(cfg.shards),
+                    shut_down: false,
                 }),
                 cfg,
                 to_shards,
@@ -564,6 +571,10 @@ impl RuntimePool {
 
 impl Drop for RuntimePool {
     fn drop(&mut self) {
+        // Sessions may outlive the pool: from here on their submits
+        // fail with `CompileError::PoolShutDown`, and jobs still queued
+        // complete with `JobError::PoolShutDown` at the next flush.
+        lock(&self.shared.state).shut_down = true;
         for tx in &self.shared.to_shards {
             let _ = tx.send(WorkerMsg::Shutdown);
         }
@@ -610,6 +621,9 @@ impl PoolShared {
         // ids only need to be unique and ordered.
         let (job, seed, resident) = {
             let mut st = lock(&self.state);
+            if st.shut_down {
+                return Err(CompileError::PoolShutDown);
+            }
             let job = JobId(st.next_job);
             st.next_job += 1;
             let seed = mix_seed(self.cfg.seed, 0x0B0B ^ job.0);
@@ -705,7 +719,20 @@ impl PoolShared {
         // report is completed immediately and no device state is ever
         // touched. The pool stays fully serviceable.
         if verify && (compiled.kind == JobKind::Raw || self.cfg.verify_all_programs) {
+            let instructions = compiled.instructions.len() as u64;
+            let span = self.tracer.open(
+                "verify",
+                root,
+                &[("instructions", Value::U64(instructions))],
+            );
             let report = crate::verify::verify_compiled(&compiled, &self.cfg, resident.as_ref());
+            let outcome = if report.has_errors() {
+                "rejected"
+            } else {
+                "clean"
+            };
+            self.tracer
+                .close(span, 0.0, &[("outcome", Value::Str(outcome))]);
             if report.has_errors() {
                 let error = JobError::RejectedByVerifier {
                     diagnostics: report.errors(),
@@ -794,7 +821,7 @@ impl PoolShared {
                 }));
             }
         }
-        open_slot(st, &self.tracer, job, root, true);
+        open_slot(st, &self.tracer, identity(&compiled), root, true);
         st.inflight.insert(job.0, compiled.envelope.cost_units);
         st.inflight_total = st
             .inflight_total
@@ -861,11 +888,15 @@ impl PoolShared {
         root: SpanId,
         error: JobError,
     ) -> Result<JobId, CompileError> {
-        // Nothing compiled, so there is no footprint or kind profile to
-        // estimate from: a fixed 64-byte, even-odds estimate.
-        let offload = estimate(Program::streaming(ByteSize(64), 0.5, 0.5, 0.5));
         let identity = (job, tenant, spec.kind(), spec.dataset());
-        let report = job_report(identity, JobRoute::Cim, 0, Err(error), offload, None);
+        let report = job_report(
+            identity,
+            JobRoute::Cim,
+            0,
+            Err(error),
+            unknown_offload(),
+            None,
+        );
         // The job never queues (it failed before compiling into a
         // stream), so its lifecycle has no queue span: the traced route
         // is job → compile → report.
@@ -878,7 +909,8 @@ impl PoolShared {
     fn complete_at_submit(&self, root: SpanId, report: JobReport, queue: bool) -> JobId {
         let job = report.job;
         let mut st = lock(&self.state);
-        open_slot(&mut st, &self.tracer, job, root, queue);
+        let identity = (job, report.tenant, report.kind, report.dataset);
+        open_slot(&mut st, &self.tracer, identity, root, queue);
         st.telemetry.record(&report);
         complete_job_slot(&mut st, &self.tracer, Box::new(report));
         job
@@ -921,6 +953,12 @@ impl PoolShared {
     /// Non-blocking: reports arrive through the completion channel.
     pub(crate) fn flush(&self) {
         let mut st = lock(&self.state);
+        if st.shut_down {
+            // The workers are gone: what is still queued never runs.
+            let queued: Vec<u64> = st.pending.drain(..).map(|c| c.job.0).collect();
+            fail_shut_down(&mut st, &self.tracer, queued);
+            return;
+        }
         if st.pending.is_empty() {
             // Nothing to plan: planning an empty queue is a no-op, so
             // skip the plan span and gauges (waits flush eagerly, and
@@ -954,12 +992,13 @@ impl PoolShared {
         }
     }
 
-    /// Hands `message` to a shard's worker.
+    /// Hands `message` to a shard's worker. Callers hold the state lock
+    /// and checked [`PoolState::shut_down`] under it.
     ///
     /// # Panics
     ///
-    /// Panics if the worker is gone; workers only exit when the pool
-    /// shuts down.
+    /// Panics if the worker is gone: workers only exit after the pool
+    /// marks itself shut down, so this is a scheduler bug.
     fn send(&self, shard: usize, message: WorkerMsg) {
         self.to_shards[shard]
             .send(message)
@@ -994,6 +1033,9 @@ impl PoolShared {
         let shards: Vec<usize> = {
             let mut st = lock(&self.state);
             let st = &mut *st;
+            if st.shut_down {
+                return Err(CompileError::PoolShutDown);
+            }
 
             // Most-free shard that fits the whole pin, ties to the
             // lowest index: datasets spread out, leaving fresh-lease
@@ -1091,6 +1133,7 @@ impl PoolShared {
                 DatasetRecord {
                     tenant,
                     placements,
+                    resident_rows: crate::verify::resident_row_sets(&payload),
                     payload,
                     resident_bytes,
                     placement,
@@ -1263,10 +1306,6 @@ impl PoolShared {
     }
 
     /// Pumps completions until `done(&state)` holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool shuts down before the predicate holds.
     fn pump_until(&self, done: impl Fn(&PoolState) -> bool) {
         while !done(&lock(&self.state)) {
             self.pump_once(&done);
@@ -1287,18 +1326,20 @@ impl PoolShared {
     /// the completion is still in this thread's hands, and block in
     /// `recv` with nothing left in flight.
     ///
-    /// # Panics
-    ///
-    /// Panics if the pool shuts down while the caller still waits.
+    /// Once every worker has exited and its last completion is folded
+    /// in, nothing can complete what is still outstanding: every
+    /// unsettled job then completes with [`JobError::PoolShutDown`] and
+    /// every outstanding dataset load fails, so `done` holds for every
+    /// waiter.
     fn pump_once(&self, done: &impl Fn(&PoolState) -> bool) {
         let rx = lock(&self.completions);
         if done(&lock(&self.state)) {
             return;
         }
-        let completion = rx
-            .recv()
-            .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding"));
-        self.process(completion);
+        match rx.recv() {
+            Ok(completion) => self.process(completion),
+            Err(_) => fail_unsettled(&mut lock(&self.state), &self.tracer),
+        }
     }
 
     /// Folds in every completion that already arrived, without
@@ -1337,11 +1378,8 @@ impl PoolShared {
     }
 
     /// Flushes and blocks until the job's report is ready, then returns
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool was dropped before the report arrived.
+    /// it. A job the pool can no longer run (it was dropped first)
+    /// reports [`JobError::PoolShutDown`].
     pub(crate) fn wait_job(&self, job: JobId) -> JobReport {
         self.flush();
         self.pump_until(|st| job_settled(st, job));
@@ -1395,7 +1433,14 @@ fn resolve_dataset(
 /// opens the job's queue span; a job that failed before compiling into
 /// a stream never queues, so its traced route is job → compile →
 /// report.
-fn open_slot(st: &mut PoolState, tracer: &Tracer, job: JobId, root: SpanId, queue: bool) {
+fn open_slot(
+    st: &mut PoolState,
+    tracer: &Tracer,
+    identity: JobIdentity,
+    root: SpanId,
+    queue: bool,
+) {
+    let job = identity.0;
     st.slots.insert(job.0, Slot::Queued);
     let queue = if queue {
         tracer.open("queue", root, &[])
@@ -1405,6 +1450,7 @@ fn open_slot(st: &mut PoolState, tracer: &Tracer, job: JobId, root: SpanId, queu
     st.lifecycles.insert(
         job.0,
         JobLifecycle {
+            identity,
             root,
             queue,
             submitted: Instant::now(),
@@ -1420,6 +1466,45 @@ fn job_settled(st: &PoolState, job: JobId) -> bool {
         st.slots.get(&job.0),
         Some(Slot::Queued) | Some(Slot::Dispatched)
     )
+}
+
+/// Completes `jobs` with terminal [`JobError::PoolShutDown`] reports:
+/// the pool was dropped before they could run.
+fn fail_shut_down(st: &mut PoolState, tracer: &Tracer, jobs: Vec<u64>) {
+    for job in jobs {
+        let Some(identity) = st.lifecycles.get(&job).map(|lc| lc.identity) else {
+            continue;
+        };
+        let error = Err(JobError::PoolShutDown);
+        let report = job_report(identity, JobRoute::Cim, 0, error, unknown_offload(), None);
+        st.telemetry.record(&report);
+        complete_job_slot(st, tracer, Box::new(report));
+    }
+}
+
+/// Settles everything still outstanding once no worker is left to
+/// report: every unsettled job fails with [`JobError::PoolShutDown`]
+/// and every dataset load still pending fails.
+fn fail_unsettled(st: &mut PoolState, tracer: &Tracer) {
+    st.pending.clear();
+    for gather in std::mem::take(&mut st.gathers).into_values() {
+        tracer.close(gather.span, 0.0, &[]);
+    }
+    let jobs: Vec<u64> = st.lifecycles.keys().copied().collect();
+    fail_shut_down(st, tracer, jobs);
+    for record in st.datasets.values_mut().filter(|r| r.load.pending > 0) {
+        record.load.pending = 0;
+        record
+            .load
+            .failure
+            .get_or_insert_with(|| "the pool shut down during the load".to_string());
+        tracer.close(
+            record.span,
+            record.load_sim,
+            &[("outcome", Value::Str("err"))],
+        );
+        record.span = SpanId::NONE;
+    }
 }
 
 /// Marks every planned job as dispatched; stamps
@@ -1460,6 +1545,13 @@ fn estimate(program: Program) -> OffloadEstimate {
         &ConventionalMachine::xeon_e5_2680(),
         &CimSystem::paper_default(),
     )
+}
+
+/// The estimate of a job the pool knows only by identity (it failed
+/// before compiling, or its program is gone): no footprint or kind
+/// profile to estimate from, so a fixed 64-byte, even-odds estimate.
+fn unknown_offload() -> OffloadEstimate {
+    estimate(Program::streaming(ByteSize(64), 0.5, 0.5, 0.5))
 }
 
 /// The analytical host-vs-CIM estimate of a compiled job.
@@ -2759,6 +2851,33 @@ mod tests {
             2,
             "tile count alone would pack one batch; the cost budget packs two"
         );
+    }
+
+    /// Once the workers are gone and the completion channel is closed,
+    /// a waiter that never flushed is not stranded: the pump settles
+    /// every outstanding job with a typed `PoolShutDown` report.
+    #[test]
+    fn closed_completion_channel_settles_waiters() {
+        let pool = RuntimePool::new(PoolConfig::with_shards(1));
+        let shared = Arc::clone(&pool.shared);
+        let handle = pool
+            .client(TenantId(2))
+            .submit(&WorkloadSpec::XorEncrypt {
+                message: vec![3; 16],
+                key_seed: 4,
+            })
+            .unwrap();
+        let job = handle.id();
+        drop(pool);
+        // Pump without flushing: the queued job can only settle through
+        // the closed-channel path.
+        shared.pump_until(|st| job_settled(st, job));
+        let report = handle.wait();
+        assert_eq!(report.output, Err(JobError::PoolShutDown));
+        assert_eq!(report.tenant, TenantId(2));
+        assert_eq!(report.kind, JobKind::XorEncrypt);
+        let st = shared.state.lock().unwrap();
+        assert!(st.pending.is_empty() && st.inflight.is_empty());
     }
 
     /// Satellite regression: a `JobHandle::wait` issued *after* the

@@ -12,7 +12,9 @@
 //! declared tile demand plus whatever the queried dataset already made
 //! resident (Q6 bin rows, CAM entry row pairs, programmed prototype or
 //! weight matrices), so reads of resident data verify clean while
-//! writes over it are rejected.
+//! writes over it are rejected. A dataset's resident rows are packed
+//! into row sets once, when it registers ([`resident_row_sets`]); every
+//! query's target shares them.
 
 use crate::compile::{q6_row_bases, CompiledJob, TileDemand};
 use crate::dataset::{ResidentPayload, ResidentView};
@@ -20,6 +22,8 @@ use crate::schedule::PoolConfig;
 use cim_arch::cim::CimUnitParams;
 use cim_core::isa::CimInstruction;
 use cim_lint::{CostEnvelope, CostModel, Geometry, LintReport, LintTarget};
+use cim_simkit::bitvec::BitVec;
+use std::sync::Arc;
 
 /// The per-tile analysis geometry of a job with `demand` tiles under
 /// the pool's configuration — shared by the safety and cost passes so
@@ -54,6 +58,26 @@ pub(crate) fn envelope_of(
     cim_lint::cost(instructions, &lint_geometry(demand, cfg), &model)
 }
 
+/// The rows a dataset pins, as one row set per virtual digital tile:
+/// built once, at registration, and shared by the lint target of every
+/// query against the dataset.
+pub(crate) fn resident_row_sets(payload: &ResidentPayload) -> Arc<Vec<BitVec>> {
+    Arc::new(match payload {
+        // Q6 bins occupy every row below the scratch region on each
+        // pinned tile; queries may only write the scratch rows above.
+        ResidentPayload::Q6 { widths, .. } => {
+            let (_, _, _, scratch_base) = q6_row_bases();
+            vec![BitVec::ones(scratch_base); widths.len()]
+        }
+        // CAM entries are (value, care) row pairs from row 0 up.
+        ResidentPayload::CamRules { entries, .. } | ResidentPayload::CamKeys { entries, .. } => {
+            entries.iter().map(|&n| BitVec::ones(2 * n)).collect()
+        }
+        // Prototype and weight datasets pin analog tiles only.
+        ResidentPayload::Hdc { .. } | ResidentPayload::Nn { .. } => Vec::new(),
+    })
+}
+
 /// Builds the lint target a job with `demand` runs against: the pool's
 /// per-tile geometry with the job's own tile counts, plus the resident
 /// rows/matrices of the dataset it queries, if any.
@@ -66,27 +90,15 @@ pub(crate) fn lint_target(
     let Some(view) = resident else {
         return target;
     };
-    match &view.payload {
-        // Q6 bins occupy every row below the scratch region on each
-        // pinned tile; queries may only write the scratch rows above.
-        ResidentPayload::Q6 { widths, .. } => {
-            let (_, _, _, scratch_base) = q6_row_bases();
-            for tile in 0..widths.len() {
-                target = target.with_resident_rows(tile, 0..scratch_base);
-            }
-        }
-        // CAM entries are (value, care) row pairs from row 0 up.
-        ResidentPayload::CamRules { entries, .. } | ResidentPayload::CamKeys { entries, .. } => {
-            for (tile, &n) in entries.iter().enumerate() {
-                target = target.with_resident_rows(tile, 0..2 * n);
-            }
-        }
-        // Prototype / weight matrices: every analog tile the job
-        // demands is programmed by the dataset.
-        ResidentPayload::Hdc { .. } | ResidentPayload::Nn { .. } => {
-            for tile in 0..demand.analog {
-                target = target.with_resident_analog(tile);
-            }
+    target = target.with_resident_row_sets(Arc::clone(&view.resident_rows));
+    // Prototype / weight matrices: every analog tile the job demands is
+    // programmed by the dataset.
+    if matches!(
+        view.payload,
+        ResidentPayload::Hdc { .. } | ResidentPayload::Nn { .. }
+    ) {
+        for tile in 0..demand.analog {
+            target = target.with_resident_analog(tile);
         }
     }
     target

@@ -664,3 +664,41 @@ fn concurrent_closed_loop_waiters_never_strand() {
         }
     }
 }
+
+/// A session that outlives its pool gets typed failures, not a panic.
+/// A job already dispatched when the pool drops still completes; a job
+/// still queued completes with `JobError::PoolShutDown`; submissions
+/// and registrations after the drop fail with
+/// `CompileError::PoolShutDown`.
+#[test]
+fn session_outliving_its_pool_fails_typed() {
+    let spec = WorkloadSpec::XorEncrypt {
+        message: vec![0x5A; 32],
+        key_seed: 9,
+    };
+
+    let pool = RuntimePool::new(PoolConfig::with_shards(1));
+    let client = pool.client(TenantId(1));
+    drop(pool);
+    let err = client.submit(&spec).map(JobHandle::wait).unwrap_err();
+    assert_eq!(err, CompileError::PoolShutDown);
+    let err = client
+        .register_dataset(&DatasetSpec::Q6Table {
+            rows: 256,
+            table_seed: 1,
+        })
+        .map(|handle| handle.id())
+        .unwrap_err();
+    assert_eq!(err, CompileError::PoolShutDown);
+
+    let pool = RuntimePool::new(PoolConfig::with_shards(1));
+    let client = pool.client(TenantId(1));
+    let dispatched = client.submit(&spec).unwrap();
+    client.flush();
+    let queued = client.submit(&spec).unwrap();
+    drop(pool);
+    assert!(dispatched.wait().output.is_ok(), "dispatched work drains");
+    let report = queued.wait();
+    assert_eq!(report.output, Err(JobError::PoolShutDown));
+    assert!(report.shards.is_empty(), "no shard ran it");
+}

@@ -13,7 +13,11 @@
 //!    (job, compile, report — it never queued),
 //! 3. nesting balances: compile/queue/finalize/report hang off the job
 //!    root, every execute hangs off its part's dispatch, and resident
-//!    queries never open a `dataset_load` span of their own.
+//!    queries never open a `dataset_load` span of their own,
+//! 4. a program the admission verifier checks (every raw stream, every
+//!    program under `verify_all_programs`) adds exactly one `verify`
+//!    span under the root, right after `compile`, carrying the
+//!    program's instruction count and a `clean`/`rejected` outcome.
 //!
 //! The mixed-queue property runs over the same scenario shapes as
 //! `split_jobs.rs` (unsplit Q6, scattered Q6, XOR, oversized bulk
@@ -21,6 +25,7 @@
 //! scatter-gather tests prove bit-exact.
 
 use cim_repro::cim_bitmap_db::tpch::Q6Params;
+use cim_repro::cim_core::isa::CimInstruction;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_nn::binarized::BinarizedMlp;
 use cim_repro::cim_obs::{RingRecorder, Snapshot, SpanNode, Value};
@@ -261,6 +266,98 @@ fn dataset_release_traces_one_scrub_span_per_placement() {
         "span {} vs released maintenance {released}",
         scrub.sim_seconds
     );
+}
+
+/// Verified programs trace one `verify` span after `compile`: a clean
+/// raw stream runs the full route plus the verify span (8 spans), a
+/// rejected one ends job → compile → verify → queue → report, and a
+/// compiled program is verified only under `verify_all_programs`.
+#[test]
+fn verified_programs_trace_one_verify_span() {
+    let (ring, pool) = traced_pool(1);
+    let session = pool.client(TenantId(4));
+    let raw = |instructions: Vec<CimInstruction>| WorkloadSpec::Raw {
+        digital_tiles: 1,
+        analog_tiles: 0,
+        instructions,
+    };
+    let write = CimInstruction::WriteRow {
+        tile: 0,
+        row: 0,
+        bits: BitVec::ones(1024),
+    };
+    let read = |row| CimInstruction::ReadRow { tile: 0, row };
+    let clean = session
+        .submit(&raw(vec![write.clone(), read(0)]))
+        .unwrap()
+        .wait();
+    assert!(clean.output.is_ok());
+    let rejected = session
+        .submit(&raw(vec![write, read(0), read(5)]))
+        .unwrap()
+        .wait();
+    assert!(matches!(
+        rejected.output,
+        Err(JobError::RejectedByVerifier { .. })
+    ));
+    let compiled = session
+        .submit(&WorkloadSpec::XorEncrypt {
+            message: vec![1; 16],
+            key_seed: 2,
+        })
+        .unwrap()
+        .wait();
+
+    let snap = ring.snapshot();
+    assert_eq!(snap.unclosed, 0);
+    assert_eq!(snap.orphan_closes, 0);
+    let verify_of = |report: &JobReport| {
+        let spans = children_named(root_of(&snap, report), "verify");
+        assert_eq!(spans.len(), 1, "{}", report.job);
+        (
+            spans[0].attr("instructions").cloned(),
+            spans[0].attr("outcome").cloned(),
+        )
+    };
+    assert_eq!(
+        verify_of(&clean),
+        (Some(Value::U64(2)), Some(Value::Str("clean")))
+    );
+    assert_eq!(root_of(&snap, &clean).span_count(), 8);
+    assert_eq!(
+        verify_of(&rejected),
+        (Some(Value::U64(3)), Some(Value::Str("rejected")))
+    );
+    let root = root_of(&snap, &rejected);
+    assert_eq!(root.span_count(), 5, "job, compile, verify, queue, report");
+    assert!(children_named(root, "dispatch").is_empty());
+    // A compiled program skips the verifier on a default pool.
+    assert_job_route(&snap, &compiled);
+    assert!(children_named(root_of(&snap, &compiled), "verify").is_empty());
+
+    // Under verify-all, compiled programs are verified too.
+    let mut cfg = PoolConfig::with_shards(1);
+    cfg.verify_all_programs = true;
+    let ring = Arc::new(RingRecorder::new(1 << 16));
+    let pool = RuntimePool::with_sink(cfg, ring.clone());
+    let report = pool
+        .client(TenantId(4))
+        .submit(&WorkloadSpec::XorEncrypt {
+            message: vec![1; 16],
+            key_seed: 2,
+        })
+        .unwrap()
+        .wait();
+    assert!(report.output.is_ok());
+    let snap = ring.snapshot();
+    let root = root_of(&snap, &report);
+    let verify = children_named(root, "verify");
+    assert_eq!(verify.len(), 1);
+    assert!(matches!(
+        verify[0].attr("outcome"),
+        Some(Value::Str("clean"))
+    ));
+    assert_eq!(root.span_count(), 8, "the 7-span route plus verify");
 }
 
 /// One scenario job for the mixed-queue property, indexed by the same
