@@ -212,19 +212,13 @@ impl Rows<'_> {
         listed.iter().copied().chain(span)
     }
 
-    /// How many rows (a repeated listed row counts each time).
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Rows::Listed(rows) => rows.len(),
-            Rows::Span(span) => span.len(),
-        }
-    }
-
     /// Whether the instruction touches no row.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        match self {
+            Rows::Listed(rows) => rows.is_empty(),
+            Rows::Span(span) => span.is_empty(),
+        }
     }
 }
 
@@ -299,7 +293,6 @@ impl CimInstruction {
     /// (the executor puts the taken value back), and a `MatchSearch`
     /// reads the value+care row pair of every searched entry without
     /// touching the latch.
-    #[inline]
     pub fn effects(&self) -> EffectSummary<'_> {
         match self {
             CimInstruction::WriteRow { tile, row, .. } => EffectSummary {

@@ -128,7 +128,6 @@ impl BitVec {
     }
 
     /// The number of bits in the vector.
-    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -139,7 +138,6 @@ impl BitVec {
     }
 
     /// The backing words (last word's unused high bits are zero).
-    #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
     }
@@ -149,7 +147,6 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `index >= len`.
-    #[inline]
     pub fn get(&self, index: usize) -> bool {
         assert!(
             index < self.len,
@@ -164,7 +161,6 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `index >= len`.
-    #[inline]
     pub fn set(&mut self, index: usize, value: bool) {
         assert!(
             index < self.len,
