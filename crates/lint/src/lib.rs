@@ -54,9 +54,10 @@
 //! diagnostic's row list is only built once a fold finds a row. On a
 //! stream of 64 ternary searches over two 80-entry resident CAM tiles
 //! (the `lint_resident` group of the `runtime_throughput` bench) the
-//! safety pass measures about 0.7 µs, roughly 2.4× the [`cost`] pass
-//! over the same stream, on a 2-vCPU x86 host. The set-based checker
-//! this replaced survives as a test oracle (`tests/lint_oracle.rs`).
+//! safety pass measures about 0.6–0.9 µs, 2.3–2.8× the [`cost`] pass
+//! over the same stream, on a 2-vCPU x86 host (about 25× with the
+//! set-based state). That checker survives as a test oracle
+//! (`tests/lint_oracle.rs`).
 //!
 //! Diagnostics come back as a [`LintReport`] of
 //! [`Diagnostic`]s with stable rule codes (`L001-UNINIT-READ` …
